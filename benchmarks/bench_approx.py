@@ -39,8 +39,7 @@ the sketch build cost (time and bytes, also under
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_approx.py [--quick] [--n N]
-        [--k K [K ...]] [--alpha A [A ...]] [--out F] [--no-lsh]
-        [--sample-frac F]
+        [--k K [K ...]] [--alpha A [A ...]] [--out F]
 """
 
 from __future__ import annotations
@@ -68,8 +67,8 @@ WARM_SPEEDUP_GATE = 1.2
 RECALL_GATE = 1.0
 
 #: Raw-filter precision of the layout-window-only sketch (the
-#: pre-true-kNN build) at n=100_000 — the baseline the true-kNN curve
-#: fits must beat by PRECISION_MULTIPLE_GATE.
+#: pre-true-kNN build) at n=100_000 — the baseline the true-kNN profiles
+#: must beat by PRECISION_MULTIPLE_GATE.
 _BASELINE_PRECISION = {
     (4, 0.3): 0.011241,
     (4, 0.6): 0.025641,
@@ -89,12 +88,9 @@ _BASELINE_VERIFIED_QPS = {
 PRECISION_MULTIPLE_GATE = 10.0
 
 #: Absolute raw-precision floor for sub-GATE_N runs (the CI smoke
-#: tier): small corpora run far above this, so a trip means the curve
-#: fits or the LSH stage regressed, not that the workload drifted.
+#: tier): small corpora run far above this, so a trip means the
+#: k-distance profiles regressed, not that the workload drifted.
 QUICK_PRECISION_GATE = 0.05
-
-#: Budgets swept by the budget-vs-tightness section of the report.
-BUDGET_SWEEP = (64, 256, 1024)
 
 
 def recall_precision(
@@ -122,18 +118,15 @@ def bench_cell(
     alpha: float,
     rounds: int,
     metrics,
-    lsh: bool = True,
-    sample_frac=None,
 ) -> Dict[str, object]:
     """Gates + QPS for one ``(k, alpha)`` cell of the sweep."""
     config = SimilarityConfig(alpha=alpha)
-    knobs = dict(sketch_sample_frac=sample_frac, approx_lsh=lsh)
     base = RSTkNNSearcher(tree, config=config, engine="snapshot")
     warm = RSTkNNSearcher(
-        tree, config=config, engine="snapshot", warm_floors=True, **knobs
+        tree, config=config, engine="snapshot", warm_floors=True
     )
     verified = RSTkNNSearcher(
-        tree, config=config, engine="approx", approx_verify=True, **knobs
+        tree, config=config, engine="approx", approx_verify=True
     )
     raw = RSTkNNSearcher(
         tree,
@@ -141,7 +134,6 @@ def bench_cell(
         engine="approx",
         approx_verify=False,
         metrics=metrics,
-        **knobs,
     )
     label = f"k={k} alpha={alpha}"
 
@@ -162,8 +154,7 @@ def bench_cell(
     # (the engine's own counters are cumulative across cells).
     snap = tree.snapshot()
     raw_engine = snap.approx_engine_for(
-        tree, raw.measure, raw.alpha, raw.te_weight, verify=False,
-        sample_frac=sample_frac, lsh=lsh,
+        tree, raw.measure, raw.alpha, raw.te_weight, verify=False
     )
     before = dict(raw_engine.counters)
     quality = recall_precision(
@@ -171,7 +162,7 @@ def bench_cell(
     )
     flow = {
         key: raw_engine.counters[key] - before.get(key, 0)
-        for key in ("candidates", "lsh_pruned", "answers")
+        for key in ("candidates", "answers")
     }
     if quality["recall"] < RECALL_GATE:
         raise SystemExit(
@@ -207,7 +198,6 @@ def bench_cell(
         "reference_results": quality["reference_results"],
         "returned_results": quality["returned_results"],
         "candidates_per_query": flow["candidates"] / n,
-        "lsh_pruned_per_query": flow["lsh_pruned"] / n,
         "answers_per_query": flow["answers"] / n,
         "candidate_precision": (
             flow["answers"] / flow["candidates"]
@@ -223,40 +213,6 @@ def bench_cell(
         "speedup_raw_vs_snapshot": raw_qps / snapshot_qps,
         "filter_counters": filter_counters,
     }
-
-
-def budget_sweep(
-    tree, snapshot, queries, k: int, alpha: float
-) -> List[Dict[str, object]]:
-    """Budget-vs-tightness rows: per-budget frontier shape, row
-    tightness, and raw-filter precision (window-only sketches, so the
-    sweep isolates the node-floor lever from the curve fits)."""
-    config = SimilarityConfig(alpha=alpha)
-    s = RSTkNNSearcher(tree, config=config, engine="snapshot")
-    base = RSTkNNSearcher(tree, config=config, engine="snapshot")
-    reference = [base.search(q, k).ids for q in queries]
-    rows = []
-    for budget in BUDGET_SWEEP:
-        engine = snapshot.approx_engine_for(
-            tree, s.measure, s.alpha, s.te_weight,
-            verify=False, budget=budget, sample_frac=0.0, lsh=False,
-        )
-        quality = recall_precision(
-            reference, [engine.search(q, k).ids for q in queries]
-        )
-        desc = engine.sketch.describe()
-        rows.append(
-            {
-                "budget": budget,
-                "frontier_size": desc["frontier_size"],
-                "row_objects_max": desc["row_objects_max"],
-                "row_objects_mean": desc["row_objects_mean"],
-                "build_seconds": desc["build_seconds"],
-                "recall": quality["recall"],
-                "precision": quality["precision"],
-            }
-        )
-    return rows
 
 
 def main(argv=None) -> int:
@@ -275,18 +231,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--queries", type=int, default=None)
     parser.add_argument("--out", default="BENCH_approx.json")
-    parser.add_argument(
-        "--no-lsh",
-        action="store_true",
-        help="disable the approx engine's LSH pre-filter stage",
-    )
-    parser.add_argument(
-        "--sample-frac",
-        type=float,
-        default=None,
-        help="true-kNN curve sampling fraction (default: the sketch "
-        "default, 1.0)",
-    )
     parser.add_argument(
         "--backend",
         choices=kernels.KERNEL_BACKENDS,
@@ -328,27 +272,17 @@ def main(argv=None) -> int:
             config = SimilarityConfig(alpha=alpha)
             s = RSTkNNSearcher(tree, config=config, engine="snapshot")
             sketch = snapshot.sketch_for(
-                snapshot.engine_for(tree, s.measure, s.alpha, s.te_weight),
-                sample_frac=args.sample_frac,
+                snapshot.engine_for(tree, s.measure, s.alpha, s.te_weight)
             )
             sketches.append(dict(sketch.describe(), alpha=alpha))
 
     metrics = MetricsRegistry()
-    lsh = not args.no_lsh
     with timer.phase("walk"):
         cells = [
-            bench_cell(
-                tree, queries, k, alpha, rounds, metrics,
-                lsh=lsh, sample_frac=args.sample_frac,
-            )
+            bench_cell(tree, queries, k, alpha, rounds, metrics)
             for k in ks
             for alpha in alphas
         ]
-
-    with timer.phase("budget_sweep"):
-        budgets = budget_sweep(
-            tree, snapshot, queries, ks[0], alphas[0]
-        )
 
     headline = cells[0]
     gate_armed = n >= GATE_N
@@ -408,12 +342,9 @@ def main(argv=None) -> int:
             for (k, a), v in _BASELINE_VERIFIED_QPS.items()
         },
         "quick_precision_gate": QUICK_PRECISION_GATE,
-        "lsh": lsh,
-        "sample_frac": args.sample_frac,
     }
     report["sketches"] = sketches
     report["cells"] = cells
-    report["budget_sweep"] = budgets
     report["approx_metrics"] = metrics.snapshot()
 
     with open(args.out, "w") as fh:

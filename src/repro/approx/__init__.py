@@ -1,28 +1,16 @@
 """Frozen k-distance sketches and the ``engine="approx"`` tier.
 
 See :mod:`repro.approx.sketch` for the freeze-time kNNL floor builder
-and :mod:`repro.approx.engine` for the sketch-filtered search engine
-(including its LSH pre-filter stage).
+and :mod:`repro.approx.engine` for the sketch-filtered search engine.
 """
 
-from .engine import ApproxEngine, LSH_BANDS, LSH_PROBE_CAP
-from .sketch import (
-    DEFAULT_SKETCH_BUDGET,
-    DEFAULT_SKETCH_KMAX,
-    DEFAULT_SKETCH_POOL,
-    DEFAULT_SKETCH_SAMPLE_FRAC,
-    KnnlSketch,
-    build_sketch,
-)
+from .engine import ApproxEngine
+from .sketch import SKETCH_BUDGET, SKETCH_KMAX, KnnlSketch, build_sketch
 
 __all__ = [
     "ApproxEngine",
     "KnnlSketch",
     "build_sketch",
-    "DEFAULT_SKETCH_KMAX",
-    "DEFAULT_SKETCH_BUDGET",
-    "DEFAULT_SKETCH_POOL",
-    "DEFAULT_SKETCH_SAMPLE_FRAC",
-    "LSH_BANDS",
-    "LSH_PROBE_CAP",
+    "SKETCH_KMAX",
+    "SKETCH_BUDGET",
 ]

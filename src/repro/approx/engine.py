@@ -28,20 +28,6 @@ similarity capped at 1) is tried first and the blended text upper bound
 is only computed when the spatial stage cannot already prune — the same
 lazy-text trick the exact verification probe uses.
 
-Between the floor DFS and verification sits an optional **LSH
-pre-filter stage** (after Arthur & Oudot, arXiv:1011.4955): the
-sketch's frozen 64-bit term signatures are banded into eight 8-bit
-buckets, and each candidate probes the objects sharing one of its
-bands — its likeliest strong competitors — with *exact* pairwise
-similarities.  A candidate is dropped only once ``k`` distinct
-competitors are proven strictly more similar to it than the query,
-the same strict count the exact membership probe uses, so the stage is
-conservative by construction (the banding only chooses *which*
-competitors to try first; every drop is backed by exact similarities
-and recall stays 1.0).  In verified mode the stage cheaply refutes
-non-members before the expensive full membership probe; in raw mode it
-directly raises precision.
-
 The engine accepts the ``trace`` argument for interface compatibility
 but emits no events: its walk makes no accept/prune/verify decisions in
 the exact engines' sense, so an event stream would be misleading
@@ -62,21 +48,12 @@ from ..text.interval import IntervalVector
 from ..text.similarity import ExtendedJaccard
 from .sketch import KnnlSketch
 
-#: Number of 8-bit bands the 64-bit term signature is split into.
-LSH_BANDS = 8
-
-#: Per-candidate cap on exact competitor probes in the LSH stage: the
-#: stage must stay far cheaper than the full membership probe it
-#: tries to avoid, so it gives up (keeps the candidate) after this
-#: many similarity evaluations.
-LSH_PROBE_CAP = 64
-
 
 class ApproxEngine:
     """Sketch-filtered search over one snapshot (see module docstring).
 
-    One engine exists per ``(measure, alpha, te_weight, verify, sketch
-    knobs)`` setting of a snapshot (see
+    One engine exists per ``(measure, alpha, te_weight, verify)``
+    setting of a snapshot (see
     :meth:`~repro.perf.snapshot.IndexSnapshot.approx_engine_for`); it
     shares the exact snapshot engine's memoized pair-bound table
     through :attr:`base`, so verification work warms the exact paths
@@ -92,7 +69,6 @@ class ApproxEngine:
         te_weight: float,
         sketch: KnnlSketch,
         verify: bool = True,
-        lsh: bool = True,
     ) -> None:
         self.tree = tree
         self.snap = snap
@@ -101,8 +77,6 @@ class ApproxEngine:
         self.te_weight = te_weight
         self.sketch = sketch
         self.verify = verify
-        self.lsh = lsh and len(sketch.lsh_sig) > 0
-        self._lsh_buckets: Optional[Dict[int, List[int]]] = None
         self.base = snap.engine_for(tree, measure, alpha, te_weight)
         self._ej = isinstance(measure, ExtendedJaccard)
         #: Cumulative filter counters since engine creation; published
@@ -113,37 +87,12 @@ class ApproxEngine:
             "nodes_pruned": 0,
             "objects_pruned": 0,
             "spatial_shortcuts": 0,
-            "lsh_pruned": 0,
             "candidates": 0,
             "verified": 0,
             "answers": 0,
         }
         #: The last query's filter counters (same keys), for reporting.
         self.last_filter: Dict[str, int] = {}
-
-    def _bands(self) -> Dict[int, List[int]]:
-        """Lazily built LSH band buckets over the sketch signatures.
-
-        Bucket key ``(band << 8) | byte`` maps to the object slots
-        whose signature carries that byte in that band; all-zero bands
-        (no term hashed there) are skipped, as they would bucket
-        textually unrelated objects together.
-        """
-        buckets = self._lsh_buckets
-        if buckets is None:
-            buckets = {}
-            sig_arr = self.sketch.lsh_sig
-            is_obj = self.snap.is_obj
-            for slot in range(len(sig_arr)):
-                if not is_obj[slot]:
-                    continue
-                sig = sig_arr[slot]
-                for band in range(LSH_BANDS):
-                    byte = (sig >> (band * 8)) & 0xFF
-                    if byte:
-                        buckets.setdefault((band << 8) | byte, []).append(slot)
-            self._lsh_buckets = buckets
-        return buckets
 
     def search(
         self,
@@ -220,7 +169,7 @@ class ApproxEngine:
 
         counters = self.counters
         counters["searches"] += 1
-        nodes_pruned = objects_pruned = spatial_shortcuts = lsh_pruned = 0
+        nodes_pruned = objects_pruned = spatial_shortcuts = 0
         candidates: List[Tuple[int, float]] = []
         use_floors = k <= sketch.kmax
 
@@ -273,53 +222,6 @@ class ApproxEngine:
             stats.expansions += 1
             stack.extend(range(snap.first_child[slot], snap.last_child[slot]))
 
-        n_candidates = len(candidates)
-        if self.lsh and use_floors and candidates:
-            # LSH pre-filter: for each candidate, probe the objects
-            # sharing one of its signature bands — its likeliest strong
-            # competitors — with exact similarities, and drop it once k
-            # distinct competitors strictly beat the query (the same
-            # strict count the membership probe uses, so drops are
-            # provably correct and recall stays 1.0).
-            buckets = self._bands()
-            sig_arr = sketch.lsh_sig
-            exact_pair = base._exact
-            kept: List[Tuple[int, float]] = []
-            for slot, sim in candidates:
-                sig = sig_arr[slot]
-                rslot = ref[slot]
-                beaten = 0
-                probes = 0
-                seen = {slot}
-                refuted = False
-                for band in range(LSH_BANDS):
-                    byte = (sig >> (band * 8)) & 0xFF
-                    if not byte:
-                        continue
-                    for other in buckets.get((band << 8) | byte, ()):
-                        if other in seen:
-                            continue
-                        seen.add(other)
-                        if ref[other] == rslot:
-                            continue
-                        probes += 1
-                        if exact_pair(slot, other) > sim:
-                            beaten += 1
-                            if beaten >= k:
-                                refuted = True
-                                break
-                        if probes >= LSH_PROBE_CAP:
-                            break
-                    if refuted or probes >= LSH_PROBE_CAP:
-                        break
-                if refuted:
-                    lsh_pruned += 1
-                    stats.pruned_entries += 1
-                    stats.pruned_objects += 1
-                else:
-                    kept.append((slot, sim))
-            candidates = kept
-
         ids: List[int] = []
         if self.verify:
             for slot, sim in candidates:
@@ -334,17 +236,16 @@ class ApproxEngine:
         counters["nodes_pruned"] += nodes_pruned
         counters["objects_pruned"] += objects_pruned
         counters["spatial_shortcuts"] += spatial_shortcuts
-        counters["lsh_pruned"] += lsh_pruned
-        counters["candidates"] += n_candidates
-        counters["verified"] += len(candidates) if self.verify else 0
+        n_verified = len(candidates) if self.verify else 0
+        counters["candidates"] += len(candidates)
+        counters["verified"] += n_verified
         counters["answers"] += len(ids)
         self.last_filter = {
             "nodes_pruned": nodes_pruned,
             "objects_pruned": objects_pruned,
             "spatial_shortcuts": spatial_shortcuts,
-            "lsh_pruned": lsh_pruned,
-            "candidates": n_candidates,
-            "verified": len(candidates) if self.verify else 0,
+            "candidates": len(candidates),
+            "verified": n_verified,
             "answers": len(ids),
         }
 

@@ -4,16 +4,17 @@ A :class:`KnnlSketch` is computed once per snapshot and similarity
 setting and holds, for every slot of the snapshot, a *provably
 conservative* lower bound on the k-th best ``SimST`` of every object
 under that slot — the frozen analogue of the competitor floors the
-exact branch-and-bound walk tightens lazily per query.  Two components
-are combined:
+exact branch-and-bound walk tightens lazily per query.  It is one
+structure with one floor rule, built from two tables:
 
-* **node floors** (exact machinery): a frontier of up to
-  ``budget`` slots is peeled off the snapshot (largest-count first, a
-  complete antichain over the objects), and for each frontier node
-  ``f`` the weighted k-th largest of the pairwise ``MinST(f, g)``
-  lower bounds (weight ``cnt[g]``; self term ``cnt[f] - 1``) is taken
-  through :func:`repro.core.contributions._kth_largest`.  Every object
-  under ``f`` has at least ``cnt[g]`` competitors at similarity
+* **node floors** (``floor_idx`` / ``floor_table``): a frontier of up
+  to :data:`SKETCH_BUDGET` slots is peeled off the snapshot
+  (largest-count first, a complete antichain over the objects), and for
+  each frontier node ``f`` the weighted k-th largest of the pairwise
+  ``MinST(f, g)`` lower bounds (weight ``cnt[g]``; self term
+  ``cnt[f] - 1``) is taken through
+  :func:`repro.core.contributions._kth_largest`.  Every object under
+  ``f`` has at least ``cnt[g]`` competitors at similarity
   ``>= MinST(f, g)``, so the row lower-bounds its true k-th competitor
   similarity ``s_k``.  The peel is *adaptive*: a node whose expansion
   would overflow the budget is kept as its own row and the peel keeps
@@ -23,35 +24,23 @@ are combined:
   *global* row (the elementwise minimum over all rows, which is valid
   for every object of the snapshot).
 
-* **object profiles and curves** (nonlinear k-distance fit, after
-  Obermeier et al., arXiv:2011.01773): each object's top-``kmax``
-  competitor similarities are collected; the sampled profile is stored
-  verbatim (``obj_profile``, the per-object floor the consumers
-  actually read) and additionally summarised as a monomial
-  ``c * k**-b`` least-squares fitted in log space, then *rescaled
-  down* so the fitted value never exceeds a collected one.  The
-  default sampling pass (``sample_frac`` of the objects, evenly spaced
-  in layout order) is a **true-kNN** walk: a best-first descent of the
-  snapshot with staged ``MaxST`` upper bounds — seeded by
-  layout-neighbour similarities and warm-started by the object's own
-  node-floor row — that returns the object's *exact* top-``kmax``
-  competitor similarities, so profile and curve describe the real
-  k-distance profile.  Objects outside the sample budget fall back to
-  a cheap *symmetric* layout-window pass (circular window of ``pool``
-  neighbours, so edge objects in layout order collect exactly as many
-  samples as interior ones).  Either way the collected similarities
-  are a subset of (or equal to) the true competitor multiset, so
-  collected ``s_k`` <= true ``s_k``: the stored profile — and the
-  rescaled curve, which by construction never exceeds it — is
-  conservative at every ``k <= kmax``.  Objects with fewer than
-  ``kmax`` collected competitors get a zero-padded profile (the zero
-  entries never prune) and no curve (``c = 0``) — the count-aware
-  degenerate case, mirroring ``_kth_largest``'s 0.0.
+* **object profiles** (``obj_profile``, the k-distance of Obermeier et
+  al., arXiv:2011.01773): each object's top-:data:`SKETCH_KMAX`
+  competitor similarities, collected by a **true-kNN** walk — a
+  best-first descent of the snapshot with staged ``MaxST`` upper
+  bounds, seeded by layout-neighbour similarities and warm-started by
+  the object's own node-floor row.  The walk is capped at
+  :data:`_TRUE_WALK_POP_CAP` node pops; an uncapped walk returns the
+  exact top-``kmax`` multiset, and a truncated one returns a *subset*
+  of it.  Either way the collected k-th value is ``<= s_k``, so the
+  stored profile is conservative at every ``k <= kmax`` — but it is
+  only guaranteed *equal* to ``s_k`` where the walk finished.  Objects
+  with fewer than ``kmax`` collected competitors get a zero-padded
+  profile (the zero entries never prune) — the count-aware degenerate
+  case, mirroring ``_kth_largest``'s 0.0.
 
-The sketch also freezes each object's 64-bit **term signature** (the
-Bloom-style ``1 << (tid % 64)`` mask of the frozen kernels), which the
-``engine="approx"`` tier bands into an LSH pre-filter stage (see
-:meth:`~repro.approx.engine.ApproxEngine.search`).
+**Floor rule.**  A directory slot's floor is its row floor; an
+object's floor is ``max(row floor, profile)`` (:meth:`KnnlSketch.obj_floor`).
 
 The floors feed three consumers: warm-start pruning in the exact
 engines (:class:`~repro.core.traversal.SnapshotEngine` /
@@ -82,46 +71,26 @@ from ..text.similarity import ExtendedJaccard
 
 #: Largest ``k`` the sketch covers; beyond it floors read 0.0 (never
 #: prune).  Matches the shard admission default.
-DEFAULT_SKETCH_KMAX = 16
+SKETCH_KMAX = 16
 
 #: Target frontier width for the node-floor rows: more nodes mean
 #: tighter per-subtree floors at quadratic pair-bound build cost.
-DEFAULT_SKETCH_BUDGET = 256
+SKETCH_BUDGET = 256
 
-#: Per-object sample-pool size for the fallback k-distance window (each
-#: object sees roughly ``pool`` sampled competitors).
-DEFAULT_SKETCH_POOL = 32
-
-#: Fraction of objects (evenly spaced in layout order) that get the
-#: exact true-kNN sampling pass; the rest use the symmetric layout
-#: window.  1.0 fits every curve over the real k-distance profile.
-DEFAULT_SKETCH_SAMPLE_FRAC = 1.0
-
-#: Multiplicative safety margin applied to the fitted curve so float
-#: re-evaluation of ``c * k**-b`` can never creep above the sampled
-#: similarity it was fitted under.
-_CURVE_MARGIN = 1.0 - 1e-12
-
-#: Node-pop budget of one true-kNN sampling walk.  The cluster text
+#: Node-pop budget of one true-kNN profile walk.  The cluster text
 #: bounds on wide nodes are loose, so the tail of a best-first descent
 #: pops many nodes that contribute nothing; cutting it keeps the build
 #: linear in ``n``.  A truncated walk returns a *subset* of the true
-#: competitor similarities, so the fitted curve only gets looser,
-#: never unsound.  96 pops recovers the exact profile on every
-#: workload we measure (the seeded threshold is near-final before the
-#: first pop).
+#: competitor similarities, so the stored profile stays ``<= s_k``
+#: (sound, possibly loose); it is not guaranteed to equal ``s_k``.
 _TRUE_WALK_POP_CAP = 96
 
 
 class KnnlSketch:
-    """Frozen per-slot kNNL floors plus per-object k-distance curves.
+    """Frozen per-slot kNNL floors plus per-object k-distance profiles.
 
     Attributes:
         kmax: Largest ``k`` covered; all floors are 0.0 beyond it.
-        budget: Frontier budget the sketch was built with.
-        pool: Fallback-window sample-pool size the sketch was built with.
-        sample_frac: Fraction of objects whose curves were fitted over
-            exact true-kNN samples (the rest used the layout window).
         frontier: The peeled antichain slots (row ``i`` of the floor
             table belongs to ``frontier[i]``'s subtree).
         floor_idx: Per-slot row index into :attr:`floor_table`
@@ -129,76 +98,42 @@ class KnnlSketch:
             frontier point at the global row.
         floor_table: Row-major ``(len(frontier) + 1) x kmax`` floors
             (``array('d')``); the last row is the global row.
-        curve_c: Per-slot monomial coefficient (``array('d')``; 0.0
-            for directory slots and objects without a conservative fit).
-        curve_b: Per-slot monomial exponent (``array('d')``).
-        obj_profile: Row-major ``n_slots x kmax`` sampled k-distance
-            profile (``array('d')``): entry ``[slot][k-1]`` is object
-            ``slot``'s sampled k-th largest competitor similarity
-            (0.0 for directory slots and beyond the collected
-            samples).  Dominates the fitted curve pointwise wherever
-            both exist, so :meth:`obj_floor` reads it first.
+        obj_profile: Row-major ``n_slots x kmax`` k-distance profile
+            (``array('d')``): entry ``[slot][k-1]`` is object ``slot``'s
+            collected k-th largest competitor similarity (0.0 for
+            directory slots and beyond the collected competitors).
         row_objects: Objects under each frontier row (``array('q')``,
             length ``len(frontier)``) — the per-row tightness signal:
-            wide rows share one floor across many objects and are the
-            first to profit from a larger ``budget``.
-        lsh_sig: Per-slot 64-bit term signature (``array('Q')``; 0 for
-            directory slots), banded by the approx tier's LSH
-            pre-filter.
-        curves_true: How many fitted curves came from the exact
-            true-kNN pass (the rest came from the window fallback).
+            wide rows share one floor across many objects.
         build_seconds: Wall-clock cost of the freeze-time build.
     """
 
     __slots__ = (
         "kmax",
-        "budget",
-        "pool",
-        "sample_frac",
         "frontier",
         "floor_idx",
         "floor_table",
-        "curve_c",
-        "curve_b",
         "obj_profile",
         "row_objects",
-        "lsh_sig",
-        "curves_true",
         "build_seconds",
     )
 
     def __init__(
         self,
         kmax: int,
-        budget: int,
-        pool: int,
         frontier: Tuple[int, ...],
         floor_idx,
         floor_table,
-        curve_c,
-        curve_b,
+        obj_profile,
+        row_objects,
         build_seconds: float,
-        sample_frac: float = 0.0,
-        obj_profile=None,
-        row_objects=None,
-        lsh_sig=None,
-        curves_true: int = 0,
     ) -> None:
         self.kmax = kmax
-        self.budget = budget
-        self.pool = pool
-        self.sample_frac = sample_frac
         self.frontier = frontier
         self.floor_idx = floor_idx
         self.floor_table = floor_table
-        self.curve_c = curve_c
-        self.curve_b = curve_b
-        self.obj_profile = (
-            obj_profile if obj_profile is not None else array("d")
-        )
-        self.row_objects = row_objects if row_objects is not None else array("q")
-        self.lsh_sig = lsh_sig if lsh_sig is not None else array("Q")
-        self.curves_true = curves_true
+        self.obj_profile = obj_profile
+        self.row_objects = row_objects
         self.build_seconds = build_seconds
 
     def node_floor(self, slot: int, k: int) -> float:
@@ -210,23 +145,12 @@ class KnnlSketch:
 
     def obj_floor(self, slot: int, k: int) -> float:
         """Conservative lower bound on object ``slot``'s own ``s_k``:
-        the node floor sharpened by the object's sampled k-distance
-        profile (or, absent a profile, its fitted curve — the profile
-        dominates the curve pointwise whenever both exist)."""
+        ``max(row floor, profile)``."""
         if k > self.kmax:
             return 0.0
         floor = self.floor_table[self.floor_idx[slot] * self.kmax + (k - 1)]
-        if self.obj_profile:
-            y = self.obj_profile[slot * self.kmax + (k - 1)]
-            if y > floor:
-                return y
-            return floor
-        c = self.curve_c[slot]
-        if c > 0.0:
-            curve = c * k ** -self.curve_b[slot]
-            if curve > floor:
-                return curve
-        return floor
+        y = self.obj_profile[slot * self.kmax + (k - 1)]
+        return y if y > floor else floor
 
     def global_floor(self, k: int) -> float:
         """Lower bound on ``s_k`` valid for *every* object (last row)."""
@@ -239,25 +163,16 @@ class KnnlSketch:
         return (
             self.floor_idx.itemsize * len(self.floor_idx)
             + self.floor_table.itemsize * len(self.floor_table)
-            + self.curve_c.itemsize * len(self.curve_c)
-            + self.curve_b.itemsize * len(self.curve_b)
             + self.obj_profile.itemsize * len(self.obj_profile)
             + self.row_objects.itemsize * len(self.row_objects)
-            + self.lsh_sig.itemsize * len(self.lsh_sig)
         )
 
     def describe(self) -> Dict[str, object]:
         """Summary counters for logs and benchmark reports."""
-        curves = sum(1 for c in self.curve_c if c > 0.0)
         rows = list(self.row_objects)
         return {
             "kmax": self.kmax,
-            "budget": self.budget,
-            "pool": self.pool,
-            "sample_frac": self.sample_frac,
             "frontier_size": len(self.frontier),
-            "curves_fitted": curves,
-            "curves_true": self.curves_true,
             "row_objects_max": max(rows) if rows else 0,
             "row_objects_mean": (sum(rows) / len(rows)) if rows else 0.0,
             "nbytes": self.nbytes(),
@@ -268,10 +183,10 @@ class KnnlSketch:
 def _peel_frontier(snap, budget: int) -> List[int]:
     """Largest-count-first antichain of up to ``budget`` slots.
 
-    Same discipline as the shard admission peel
-    (:func:`repro.shard.summaries._peel_frontier`): every object of the
-    snapshot lies under exactly one returned slot, which is what makes
-    the per-row floors complete.
+    Shared with the shard admission summaries
+    (:mod:`repro.shard.summaries`): every object of the snapshot lies
+    under exactly one returned slot, which is what makes the per-row
+    floors (and the shard tables) complete.
 
     Two refusal cases keep the peel *adaptive* instead of aborting: a
     zero-fanout directory slot (a degenerate empty node) becomes its
@@ -305,39 +220,6 @@ def _peel_frontier(snap, budget: int) -> List[int]:
     return frontier
 
 
-def _fit_curve(ys: List[float]) -> Tuple[float, float]:
-    """Conservative monomial fit ``c * k**-b`` under sampled ``ys``.
-
-    ``ys[k-1]`` is the sampled k-th largest competitor similarity,
-    zero-padded to ``kmax``.  The least-squares fit in log space is
-    rescaled so the curve never exceeds a sampled value; any zero in
-    ``ys`` (fewer samples than ``kmax``) disables the curve entirely —
-    the monomial is positive everywhere, so no positive coefficient
-    could stay conservative at the zero point.
-    """
-    if not ys or min(ys) <= 0.0:
-        return 0.0, 0.0
-    kmax = len(ys)
-    if kmax == 1:
-        return ys[0] * _CURVE_MARGIN, 0.0
-    xs = [math.log(k) for k in range(1, kmax + 1)]
-    zs = [math.log(y) for y in ys]
-    mean_x = sum(xs) / kmax
-    mean_z = sum(zs) / kmax
-    var = sum((x - mean_x) ** 2 for x in xs)
-    cov = sum((x - mean_x) * (z - mean_z) for x, z in zip(xs, zs))
-    slope = cov / var if var > 0.0 else 0.0
-    b = max(0.0, -slope)
-    c0 = math.exp(mean_z + b * mean_x)
-    if c0 <= 0.0:
-        return 0.0, 0.0
-    ratio = min(
-        ys[k - 1] / (c0 * k ** -b) for k in range(1, kmax + 1)
-    )
-    c = c0 * ratio * _CURVE_MARGIN
-    return (c, b) if c > 0.0 else (0.0, 0.0)
-
-
 def _make_true_topk(engine, kmax: int):
     """A closure computing one object's exact top-``kmax`` competitor
     similarities by best-first descent of the snapshot.
@@ -353,8 +235,8 @@ def _make_true_topk(engine, kmax: int):
     equals the true top-``kmax`` exactly (ties may swap which object
     supplied a value, never the value itself) — unless the
     :data:`_TRUE_WALK_POP_CAP` node budget trips first, in which case
-    the values are a *subset* of the true multiset and the curve
-    fitted over them is merely looser, never unsound.
+    the values are a *subset* of the true multiset and the profile
+    built from them is merely looser, never unsound.
     """
     snap = engine.snap
     measure = engine.measure
@@ -460,7 +342,7 @@ def _make_true_topk(engine, kmax: int):
             pops += 1
             if pops > _TRUE_WALK_POP_CAP:
                 # Budget trip: the values found so far are a subset of
-                # the true top-kmax, so the curve fitted over them can
+                # the true top-kmax, so the profile built from them can
                 # only be looser — conservativeness is unconditional.
                 break
             for c in range(first_child[slot], last_child[slot]):
@@ -476,34 +358,23 @@ def _make_true_topk(engine, kmax: int):
     return topk
 
 
-def build_sketch(
-    engine,
-    kmax: int = DEFAULT_SKETCH_KMAX,
-    budget: int = DEFAULT_SKETCH_BUDGET,
-    pool: int = DEFAULT_SKETCH_POOL,
-    sample_frac: float = DEFAULT_SKETCH_SAMPLE_FRAC,
-) -> KnnlSketch:
+def build_sketch(engine, kmax: int = SKETCH_KMAX) -> KnnlSketch:
     """Compute one snapshot's :class:`KnnlSketch` from its exact engine.
 
     ``engine`` is the :class:`~repro.core.traversal.SnapshotEngine` of
     the similarity setting being served; its memoized ``_st`` pair table
     supplies every ``MinST`` lower bound (and keeps the values it
-    computes warm for the query-time walks to reuse).
-
-    ``sample_frac`` budgets the exact true-kNN sampling pass: that
-    fraction of the objects (evenly spaced in layout order) gets curves
-    fitted over its real top-``kmax`` competitor similarities; the rest
-    fall back to the symmetric layout-window sampling.
+    computes warm for the query-time walks to reuse).  Every object
+    gets its profile from the true-kNN walk.
     """
     started = time.perf_counter()
     snap = engine.snap
     n_slots = snap.n_slots
     cnt = snap.cnt
     is_obj = snap.is_obj
-    ref = snap.ref
     st = engine._st
 
-    frontier = _peel_frontier(snap, budget)
+    frontier = _peel_frontier(snap, SKETCH_BUDGET)
     n_rows = len(frontier)
 
     # Node-floor rows: one row per frontier slot plus the global row.
@@ -525,7 +396,7 @@ def build_sketch(
 
     # Every slot starts on the global row; frontier subtrees then claim
     # their own rows (the frontier is an antichain, so no overlap).
-    # Assigned before the curve pass so the true-kNN walks can
+    # Assigned before the profile pass so the true-kNN walks can
     # warm-start from each object's own row floor.
     floor_idx = array("q", [n_rows] * n_slots)
     first_child = snap.first_child
@@ -541,101 +412,30 @@ def build_sketch(
                     stack.extend(range(fc, lc))
 
     # Per-row tightness: objects sharing each row (wide rows dilute the
-    # floor across many objects and profit first from a larger budget).
+    # floor across many objects).
     row_objects = array("q", [cnt[f] for f in frontier])
 
-    # 64-bit term signatures for the approx tier's LSH pre-filter.
-    obj_frozen = snap.obj_frozen
-    lsh_sig = array("Q", [0] * n_slots)
+    # Object profiles: each object's top-kmax competitor similarities
+    # via a best-first snapshot walk seeded with layout-neighbour
+    # similarities and warm-started by its row floor.
     objs = [s for s in range(n_slots) if is_obj[s]]
-    for s in objs:
-        lsh_sig[s] = obj_frozen[s].mask
-
-    # Object curves.  True-kNN pass first: `sample_frac` of the objects
-    # (evenly spaced in layout order) get their exact top-kmax
-    # competitor similarities via a best-first snapshot walk seeded with
-    # layout-neighbour similarities and warm-started by their row floor.
-    n_objs = len(objs)
-    sample_frac = min(1.0, max(0.0, sample_frac))
-    n_sample = int(round(sample_frac * n_objs))
-    sampled: set = set()
-    if n_sample >= n_objs:
-        sampled = set(objs)
-    elif n_sample > 0:
-        sampled = {
-            objs[(i * n_objs) // n_sample] for i in range(n_sample)
-        }
-    exact = engine._exact
-    true_ys: Dict[int, List[float]] = {}
-    if sampled:
-        topk = _make_true_topk(engine, kmax)
-        seed_span = 2 * kmax
-        # Consecutive sampled objects are layout (hence spatial)
-        # neighbours, so the previous walk's winning suppliers are
-        # prime competitor candidates for the next walk too: chaining
-        # them as seeds starts each threshold near its final value and
-        # collapses the descent to a few node pops.
-        prev_suppliers: List[int] = []
-        for i, a in enumerate(objs):
-            if a not in sampled:
-                continue
-            floor = floor_table[floor_idx[a] * kmax + (kmax - 1)]
-            seeds = prev_suppliers + objs[
-                max(0, i - seed_span):i + 1 + seed_span
-            ]
-            true_ys[a], prev_suppliers = topk(a, floor, seeds)
-
-    # Symmetric circular layout-window fallback for unsampled objects:
-    # every object sees `window` neighbours on each side (modulo wrap),
-    # so edge objects in layout order collect exactly as many samples
-    # as interior ones.  Circular distance is capped at floor(n/2) so
-    # no unordered pair is ever collected twice — duplicate samples
-    # could overstate a sampled s_k and break conservativeness.
-    samples: Dict[int, List[float]] = {}
-    rest = [s for s in objs if s not in sampled]
-    if rest:
-        samples = {s: [] for s in objs}
-        window = max(kmax, pool // 2)
-        for i, a in enumerate(objs):
-            for d in range(1, window + 1):
-                if d > n_objs - d:
-                    break
-                j = (i + d) % n_objs
-                if d == n_objs - d and i > j:
-                    continue
-                b = objs[j]
-                if a == b or ref[a] == ref[b]:
-                    continue
-                if a in sampled and b in sampled:
-                    continue
-                sim = exact(a, b)
-                samples[a].append(sim)
-                samples[b].append(sim)
-
-    curve_c = array("d", [0.0] * n_slots)
-    curve_b = array("d", [0.0] * n_slots)
     obj_profile = array("d", [0.0] * (n_slots * kmax))
-    curves_true = 0
-    for s in objs:
-        if s in true_ys:
-            ys = true_ys[s]
-        else:
-            ys = heapq.nlargest(kmax, samples.get(s, ()))
-            ys.extend([0.0] * (kmax - len(ys)))
-        # The sampled profile is itself a conservative per-object floor
-        # (sampled s_k <= true s_k), tighter than any curve fitted
-        # under it — store it verbatim for obj_floor to read first.
-        obj_profile[s * kmax:(s + 1) * kmax] = array("d", ys)
-        c, b_exp = _fit_curve(ys)
-        curve_c[s] = c
-        curve_b[s] = b_exp
-        if c > 0.0 and s in true_ys:
-            curves_true += 1
+    topk = _make_true_topk(engine, kmax)
+    seed_span = 2 * kmax
+    # Consecutive objects are layout (hence spatial) neighbours, so the
+    # previous walk's winning suppliers are prime competitor candidates
+    # for the next walk too: chaining them as seeds starts each
+    # threshold near its final value and collapses the descent to a few
+    # node pops.
+    prev_suppliers: List[int] = []
+    for i, a in enumerate(objs):
+        floor = floor_table[floor_idx[a] * kmax + (kmax - 1)]
+        seeds = prev_suppliers + objs[max(0, i - seed_span):i + 1 + seed_span]
+        ys, prev_suppliers = topk(a, floor, seeds)
+        obj_profile[a * kmax:(a + 1) * kmax] = array("d", ys)
 
     # Global row: elementwise minimum over the frontier rows (valid for
-    # every object), sharpened by the minimum sampled profile (which
-    # dominates the minimum fitted curve; a single unsampled object
-    # zeroes it out, leaving the row minimum).
+    # every object), sharpened by the minimum object profile.
     gbase = n_rows * kmax
     for k in range(1, kmax + 1):
         row_min = min(
@@ -644,24 +444,15 @@ def build_sketch(
         )
         prof_min = 0.0
         if objs:
-            prof_min = min(
-                obj_profile[s * kmax + (k - 1)] for s in objs
-            )
+            prof_min = min(obj_profile[s * kmax + (k - 1)] for s in objs)
         floor_table[gbase + k - 1] = max(row_min, prof_min)
 
     return KnnlSketch(
         kmax=kmax,
-        budget=budget,
-        pool=pool,
-        sample_frac=sample_frac,
         frontier=tuple(frontier),
         floor_idx=floor_idx,
         floor_table=floor_table,
-        curve_c=curve_c,
-        curve_b=curve_b,
         obj_profile=obj_profile,
         row_objects=row_objects,
-        lsh_sig=lsh_sig,
-        curves_true=curves_true,
         build_seconds=time.perf_counter() - started,
     )

@@ -928,25 +928,16 @@ class FusedBatchEngine:
             f_tbl = floors.floor_table
             f_kmax = floors.kmax
             f_koff = k - 1
-            f_curve_c = floors.curve_c
-            f_curve_b = floors.curve_b
             f_prof = floors.obj_profile
 
             def floor_of(slot: int) -> float:
+                # KnnlSketch's rule: row floor, raised to the object's
+                # own k-distance profile on object slots.
                 fl = f_tbl[f_idx[slot] * f_kmax + f_koff]
                 if is_obj[slot]:
-                    if f_prof:
-                        # Sampled k-distance profile: dominates the
-                        # fitted curve pointwise wherever both exist.
-                        y = f_prof[slot * f_kmax + f_koff]
-                        if y > fl:
-                            return y
-                        return fl
-                    c = f_curve_c[slot]
-                    if c > 0.0:
-                        curve = c * k ** -f_curve_b[slot]
-                        if curve > fl:
-                            return curve
+                    y = f_prof[slot * f_kmax + f_koff]
+                    if y > fl:
+                        return y
                 return fl
 
         root_tmpl = self._template(gs, _ROOT_BLOCK)

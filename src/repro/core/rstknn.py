@@ -85,12 +85,6 @@ ENGINE_ENV_VAR = "REPRO_ENGINE"
 #: subtrees are discarded, so this is safe to flip fleet-wide.
 WARM_FLOORS_ENV_VAR = "REPRO_WARM_FLOORS"
 
-#: Environment override for the approx tier's LSH pre-filter stage
-#: (``0``/``false``/``no``/``off`` disarm it; default on).  The stage
-#: never changes verified-mode ids and keeps raw-mode recall at 1.0,
-#: so it is safe to flip fleet-wide.
-APPROX_LSH_ENV_VAR = "REPRO_APPROX_LSH"
-
 
 def _default_warm_floors() -> bool:
     """Warm-floor default from ``REPRO_WARM_FLOORS`` (off when unset)."""
@@ -98,14 +92,6 @@ def _default_warm_floors() -> bool:
     if raw is None:
         return False
     return raw.strip().lower() in ("1", "true", "yes", "on")
-
-
-def _default_approx_lsh() -> bool:
-    """LSH pre-filter default from ``REPRO_APPROX_LSH`` (on when unset)."""
-    raw = os.environ.get(APPROX_LSH_ENV_VAR)
-    if raw is None:
-        return True
-    return raw.strip().lower() not in ("0", "false", "no", "off")
 
 
 def _default_engine() -> str:
@@ -202,11 +188,6 @@ class RSTkNNSearcher:
         metrics: Optional["MetricsRegistry"] = None,
         warm_floors: Optional[bool] = None,
         approx_verify: bool = True,
-        sketch_kmax: Optional[int] = None,
-        sketch_budget: Optional[int] = None,
-        sketch_pool: Optional[int] = None,
-        sketch_sample_frac: Optional[float] = None,
-        approx_lsh: Optional[bool] = None,
     ) -> None:
         """``bound_cache`` shares tree-pair bounds across this searcher's
         queries (see :class:`repro.perf.cache.BoundCache`); ``None`` keeps
@@ -224,12 +205,8 @@ class RSTkNNSearcher:
         to ``REPRO_WARM_FLOORS`` and then off.  ``approx_verify``
         applies when ``engine="approx"``: ``True`` verifies every
         candidate exactly (byte-identical ids), ``False`` returns the
-        raw conservative candidate set.  The ``sketch_*`` knobs
-        override the sketch build parameters (``None`` keeps the
-        :mod:`repro.approx.sketch` defaults; ``sketch_sample_frac``
-        budgets the exact true-kNN curve-sampling pass).
-        ``approx_lsh`` arms the approx tier's LSH pre-filter stage;
-        ``None`` defers to ``REPRO_APPROX_LSH`` and then on."""
+        raw conservative candidate set.  Both read the one sketch the
+        snapshot keeps per similarity setting."""
         self.tree = tree
         cfg = config if config is not None else tree.dataset.config
         self.config = cfg
@@ -249,13 +226,6 @@ class RSTkNNSearcher:
             warm_floors = _default_warm_floors()
         self.warm_floors = bool(warm_floors)
         self.approx_verify = bool(approx_verify)
-        self.sketch_kmax = sketch_kmax
-        self.sketch_budget = sketch_budget
-        self.sketch_pool = sketch_pool
-        self.sketch_sample_frac = sketch_sample_frac
-        if approx_lsh is None:
-            approx_lsh = _default_approx_lsh()
-        self.approx_lsh = bool(approx_lsh)
 
     def _bound_computer(self) -> BoundComputer:
         """A per-query computer attached to the shared cache, if any."""
@@ -339,14 +309,7 @@ class RSTkNNSearcher:
             snap = self.tree.snapshot()
             if self.warm_floors:
                 runner = snap.warm_engine_for(
-                    self.tree,
-                    self.measure,
-                    self.alpha,
-                    self.te_weight,
-                    kmax=self.sketch_kmax,
-                    budget=self.sketch_budget,
-                    pool=self.sketch_pool,
-                    sample_frac=self.sketch_sample_frac,
+                    self.tree, self.measure, self.alpha, self.te_weight
                 )
             else:
                 runner = snap.engine_for(
@@ -363,11 +326,6 @@ class RSTkNNSearcher:
                 self.alpha,
                 self.te_weight,
                 verify=self.approx_verify,
-                kmax=self.sketch_kmax,
-                budget=self.sketch_budget,
-                pool=self.sketch_pool,
-                sample_frac=self.sketch_sample_frac,
-                lsh=self.approx_lsh,
             )
             result = runner.search(query, k, trace=trace, cancel=cancel)
             record_search(self.metrics, "approx", result.stats)

@@ -80,7 +80,7 @@ def _init_worker(payload: bytes) -> None:
     spec = pickle.loads(payload)
     if spec[0] == "shm":
         (_tag, name, generation, config, te_weight,
-         engine, warm_floors, approx_verify, approx_lsh) = spec
+         engine, warm_floors, approx_verify) = spec
         from .shm import attach  # noqa: PLC0415 — worker-side only
 
         attached = attach(name, expected_generation=generation)
@@ -91,11 +91,10 @@ def _init_worker(payload: bytes) -> None:
             engine=engine,
             warm_floors=warm_floors,
             approx_verify=approx_verify,
-            approx_lsh=approx_lsh,
         )
     else:
         (_tag, tree, config, te_weight, cache_entries,
-         engine, warm_floors, approx_verify, approx_lsh) = spec
+         engine, warm_floors, approx_verify) = spec
         _WORKER["searcher"] = RSTkNNSearcher(
             tree,
             config,
@@ -104,7 +103,6 @@ def _init_worker(payload: bytes) -> None:
             engine=engine,
             warm_floors=warm_floors,
             approx_verify=approx_verify,
-            approx_lsh=approx_lsh,
         )
 
 
@@ -257,11 +255,6 @@ class BatchSearcher:
         retry_policy: Optional[RetryPolicy] = None,
         warm_floors: Optional[bool] = None,
         approx_verify: bool = True,
-        sketch_kmax: Optional[int] = None,
-        sketch_budget: Optional[int] = None,
-        sketch_pool: Optional[int] = None,
-        sketch_sample_frac: Optional[float] = None,
-        approx_lsh: Optional[bool] = None,
     ) -> None:
         """``workers=1`` runs sequentially with the shared bound cache;
         ``workers>1`` fans out over that many processes, each holding its
@@ -302,14 +295,9 @@ class BatchSearcher:
         stay bit-identical; ``None`` defers to ``REPRO_WARM_FLOORS``.
         ``approx_verify`` applies under ``engine="approx"``: ``True``
         verifies candidates exactly, ``False`` returns the raw
-        conservative candidate set.  ``approx_lsh`` arms the approx
-        engine's LSH pre-filter stage (``None`` defers to
-        ``REPRO_APPROX_LSH``).  The ``sketch_*`` knobs — including
-        ``sketch_sample_frac``, the true-kNN sampling budget of the
-        curve fit — override the sketch build parameters for the
-        sequential searcher and pickled workers (shm workers use the
-        segment's exported sketch or the :mod:`repro.approx.sketch`
-        defaults)."""
+        conservative candidate set.  Sequential runs, pickled workers
+        and shm workers all read the same sketch for the similarity
+        setting (shm workers attach the segment's exported copy)."""
         if workers < 1:
             raise QueryError(f"workers must be >= 1, got {workers}")
         if mode not in BATCH_MODES:
@@ -357,10 +345,6 @@ class BatchSearcher:
             retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
         )
         self.approx_verify = bool(approx_verify)
-        self.sketch_kmax = sketch_kmax
-        self.sketch_budget = sketch_budget
-        self.sketch_pool = sketch_pool
-        self.sketch_sample_frac = sketch_sample_frac
         self.bound_cache = BoundCache(cache_entries)
         self._pickle_error: Optional[str] = None
         self._last_retries = 0
@@ -378,15 +362,9 @@ class BatchSearcher:
             engine=engine,
             warm_floors=warm_floors,
             approx_verify=approx_verify,
-            sketch_kmax=sketch_kmax,
-            sketch_budget=sketch_budget,
-            sketch_pool=sketch_pool,
-            sketch_sample_frac=sketch_sample_frac,
-            approx_lsh=approx_lsh,
         )
         # Resolved (env applied) on the inner searcher; workers reuse it.
         self.warm_floors = self._searcher.warm_floors
-        self.approx_lsh = self._searcher.approx_lsh
         if warm:
             tree.warm_kernels()
 
@@ -439,13 +417,6 @@ class BatchSearcher:
             # env knob can arm floors fleet-wide without config edits.
             warm_floors=perf.warm_floors or None,
             approx_verify=perf.approx_verify,
-            # True (the default) likewise defers to REPRO_APPROX_LSH;
-            # an explicit config False always disarms the pre-filter.
-            approx_lsh=None if perf.approx_lsh else False,
-            sketch_kmax=perf.sketch_kmax,
-            sketch_budget=perf.sketch_budget,
-            sketch_pool=perf.sketch_pool,
-            sketch_sample_frac=perf.sketch_sample_frac,
         )
 
     def invalidate(self) -> None:
@@ -647,10 +618,6 @@ class BatchSearcher:
                     searcher.measure,
                     searcher.alpha,
                     searcher.te_weight,
-                    kmax=self.sketch_kmax,
-                    budget=self.sketch_budget,
-                    pool=self.sketch_pool,
-                    sample_frac=self.sketch_sample_frac,
                 )
             else:
                 engine = snap.fused_engine_for(
@@ -725,11 +692,7 @@ class BatchSearcher:
                                 snap.engine_for(
                                     self.tree, s.measure, s.alpha,
                                     s.te_weight,
-                                ),
-                                kmax=self.sketch_kmax,
-                                budget=self.sketch_budget,
-                                pool=self.sketch_pool,
-                                sample_frac=self.sketch_sample_frac,
+                                )
                             )
                         exporter = getattr(
                             self.tree, "export_segment", None
@@ -762,7 +725,6 @@ class BatchSearcher:
                                 else "snapshot",
                                 self.warm_floors,
                                 self.approx_verify,
-                                self.approx_lsh,
                             )
                         )
                     self._share_used = "shm"
@@ -789,7 +751,6 @@ class BatchSearcher:
                         self.engine,
                         self.warm_floors,
                         self.approx_verify,
-                        self.approx_lsh,
                     )
                 )
         except (pickle.PicklingError, TypeError, AttributeError) as exc:

@@ -69,10 +69,10 @@ from .snapshot import IndexSnapshot, SnapshotTextMatrix
 
 #: First eight bytes of every segment (version-bumped on layout changes;
 #: 02 added the optional frozen kNNL sketch arrays; 03 added the
-#: per-sketch ``obj_profile`` / ``row_objects`` / ``lsh_sig`` arrays
-#: and the ``sample_frac`` / ``curves_true`` metadata of the true-kNN
-#: build).
-SEGMENT_MAGIC = b"RSTSHM03"
+#: per-sketch ``obj_profile`` / ``row_objects`` arrays; 04 dropped the
+#: curve and term-signature arrays and the build-knob metadata, leaving
+#: one sketch per similarity setting).
+SEGMENT_MAGIC = b"RSTSHM04"
 
 #: Common prefix of every segment version's magic; a segment whose
 #: magic carries this prefix but a different version byte pair was
@@ -102,7 +102,7 @@ _SNAP_COLUMNS = (
     ("ent_child", "d"),
 )
 
-_DTYPE_SIZE = {"d": 8, "q": 8, "Q": 8, "B": 1}
+_DTYPE_SIZE = {"d": 8, "q": 8, "B": 1}
 
 
 def shm_available() -> Tuple[bool, str]:
@@ -309,30 +309,17 @@ class SharedSnapshotSegment:
             arrays[f"sk{i}_floor_table"] = np.frombuffer(
                 memoryview(sketch.floor_table), dtype=np.float64
             )
-            arrays[f"sk{i}_curve_c"] = np.frombuffer(
-                memoryview(sketch.curve_c), dtype=np.float64
-            )
-            arrays[f"sk{i}_curve_b"] = np.frombuffer(
-                memoryview(sketch.curve_b), dtype=np.float64
-            )
             arrays[f"sk{i}_obj_profile"] = np.frombuffer(
                 memoryview(sketch.obj_profile), dtype=np.float64
             )
             arrays[f"sk{i}_row_objects"] = np.frombuffer(
                 memoryview(sketch.row_objects), dtype=np.int64
             )
-            arrays[f"sk{i}_lsh_sig"] = np.frombuffer(
-                memoryview(sketch.lsh_sig), dtype=np.uint64
-            )
             sketch_rows.append(
                 (
                     key,
                     {
                         "kmax": sketch.kmax,
-                        "budget": sketch.budget,
-                        "pool": sketch.pool,
-                        "sample_frac": sketch.sample_frac,
-                        "curves_true": sketch.curves_true,
                         "frontier": sketch.frontier,
                         "build_seconds": sketch.build_seconds,
                     },
@@ -782,8 +769,7 @@ class ShmSearcher:
 
     def __init__(self, attached: "AttachedIndex", config: Optional[SimilarityConfig],
                  te_weight: float, engine: str = "snapshot",
-                 warm_floors: bool = False, approx_verify: bool = True,
-                 approx_lsh: bool = True) -> None:
+                 warm_floors: bool = False, approx_verify: bool = True) -> None:
         header = attached.header
         cfg = config if config is not None else header["sim_config"]
         self.config = cfg
@@ -797,7 +783,7 @@ class ShmSearcher:
             # exported one; rebuilt worker-side otherwise (memoized).
             self.engine = snapshot.approx_engine_for(
                 attached.tree, self.measure, self.alpha, self.te_weight,
-                verify=approx_verify, lsh=approx_lsh,
+                verify=approx_verify,
             )
         elif warm_floors:
             self.engine = snapshot.warm_engine_for(
@@ -832,14 +818,13 @@ class AttachedIndex:
         engine: str = "snapshot",
         warm_floors: bool = False,
         approx_verify: bool = True,
-        approx_lsh: bool = True,
     ) -> ShmSearcher:
         """A searcher over this attachment (header defaults apply)."""
         te = self.header["te_weight"] if te_weight is None else te_weight
         return ShmSearcher(
             self, config, te,
             engine=engine, warm_floors=warm_floors,
-            approx_verify=approx_verify, approx_lsh=approx_lsh,
+            approx_verify=approx_verify,
         )
 
     def refcount(self) -> int:
@@ -904,8 +889,8 @@ def attach(name: str, expected_generation: Optional[int] = None) -> AttachedInde
         if magic != SEGMENT_MAGIC:
             if magic.startswith(_MAGIC_PREFIX):
                 # Right family, wrong layout version: written by a
-                # different build (e.g. an RSTSHM02 parent feeding an
-                # RSTSHM03 worker).  Stale, not foreign — the remedy is
+                # different build (e.g. an RSTSHM03 parent feeding an
+                # RSTSHM04 worker).  Stale, not foreign — the remedy is
                 # re-exporting, same as a generation mismatch.
                 raise StaleSegmentError(
                     f"segment {name!r} has layout version {magic!r}, "
@@ -936,19 +921,12 @@ def attach(name: str, expected_generation: Optional[int] = None) -> AttachedInde
 
             snapshot._sketches[key] = KnnlSketch(
                 kmax=meta["kmax"],
-                budget=meta["budget"],
-                pool=meta["pool"],
                 frontier=meta["frontier"],
                 floor_idx=views.cast(f"sk{i}_floor_idx", "q"),
                 floor_table=views.cast(f"sk{i}_floor_table", "d"),
-                curve_c=views.cast(f"sk{i}_curve_c", "d"),
-                curve_b=views.cast(f"sk{i}_curve_b", "d"),
                 obj_profile=views.cast(f"sk{i}_obj_profile", "d"),
-                build_seconds=meta["build_seconds"],
-                sample_frac=meta["sample_frac"],
                 row_objects=views.cast(f"sk{i}_row_objects", "q"),
-                lsh_sig=views.cast(f"sk{i}_lsh_sig", "Q"),
-                curves_true=meta["curves_true"],
+                build_seconds=meta["build_seconds"],
             )
         tree = _ShmStubTree(snapshot, header, views)
         return AttachedIndex(shm, header, views, snapshot, tree)

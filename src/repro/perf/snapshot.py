@@ -290,59 +290,32 @@ class IndexSnapshot:
             self._engines[key] = engine
         return engine
 
-    def sketch_for(
-        self,
-        engine,
-        kmax: Optional[int] = None,
-        budget: Optional[int] = None,
-        pool: Optional[int] = None,
-        sample_frac: Optional[float] = None,
-    ):
+    def sketch_for(self, engine, kmax: Optional[int] = None):
         """The memoized :class:`~repro.approx.sketch.KnnlSketch` of one
         exact engine's similarity setting (built on first request).
 
         Sketches depend on the same ``(measure, alpha)`` values the pair
-        memo does, so they key on the engine's setting plus the sketch
-        knobs; an attached shared-memory snapshot pre-populates this
-        table from the segment instead of rebuilding.
+        memo does, so they key on the engine's setting; ``kmax``
+        (default :data:`~repro.approx.sketch.SKETCH_KMAX`) is part of
+        the key because shard admission asks for its own
+        ``shard_kmax``.  An attached shared-memory snapshot
+        pre-populates this table from the segment instead of
+        rebuilding.
         """
-        from ..approx.sketch import (
-            DEFAULT_SKETCH_BUDGET,
-            DEFAULT_SKETCH_KMAX,
-            DEFAULT_SKETCH_POOL,
-            DEFAULT_SKETCH_SAMPLE_FRAC,
-            build_sketch,
-        )
+        # Looked up at call time so wrappers installed on the module
+        # attribute (profilers, tracers) see every build.
+        from ..approx import sketch as sketch_mod
 
-        kmax = DEFAULT_SKETCH_KMAX if kmax is None else kmax
-        budget = DEFAULT_SKETCH_BUDGET if budget is None else budget
-        pool = DEFAULT_SKETCH_POOL if pool is None else pool
-        if sample_frac is None:
-            sample_frac = DEFAULT_SKETCH_SAMPLE_FRAC
-        key = (
-            engine.measure.name, engine.alpha, engine.te_weight,
-            kmax, budget, pool, sample_frac,
-        )
+        if kmax is None:
+            kmax = sketch_mod.SKETCH_KMAX
+        key = (engine.measure.name, engine.alpha, engine.te_weight, kmax)
         sketch = self._sketches.get(key)
         if sketch is None:
-            sketch = build_sketch(
-                engine, kmax=kmax, budget=budget, pool=pool,
-                sample_frac=sample_frac,
-            )
+            sketch = sketch_mod.build_sketch(engine, kmax=kmax)
             self._sketches[key] = sketch
         return sketch
 
-    def warm_engine_for(
-        self,
-        tree,
-        measure,
-        alpha: float,
-        te_weight: float,
-        kmax: Optional[int] = None,
-        budget: Optional[int] = None,
-        pool: Optional[int] = None,
-        sample_frac: Optional[float] = None,
-    ):
+    def warm_engine_for(self, tree, measure, alpha: float, te_weight: float):
         """A traversal engine seeded with frozen kNNL warm-start floors.
 
         Separate from :meth:`engine_for` (floor pruning changes decision
@@ -350,54 +323,34 @@ class IndexSnapshot:
         pristine) but sharing its pair-bound memo — work done by either
         engine warms the other.
         """
-        key = (
-            "floors", measure.name, alpha, te_weight,
-            kmax, budget, pool, sample_frac,
-        )
+        key = ("floors", measure.name, alpha, te_weight)
         engine = self._engines.get(key)
         if engine is None:
             from ..core.traversal import SnapshotEngine
 
             base = self.engine_for(tree, measure, alpha, te_weight)
-            sketch = self.sketch_for(
-                base, kmax=kmax, budget=budget, pool=pool,
-                sample_frac=sample_frac,
-            )
             engine = SnapshotEngine(
-                tree, self, measure, alpha, te_weight, floors=sketch
+                tree, self, measure, alpha, te_weight,
+                floors=self.sketch_for(base),
             )
             engine._memo = base._memo
             self._engines[key] = engine
         return engine
 
     def warm_fused_engine_for(
-        self,
-        tree,
-        measure,
-        alpha: float,
-        te_weight: float,
-        kmax: Optional[int] = None,
-        budget: Optional[int] = None,
-        pool: Optional[int] = None,
-        sample_frac: Optional[float] = None,
+        self, tree, measure, alpha: float, te_weight: float
     ):
         """The fused group engine with warm-start floors (see
         :meth:`warm_engine_for` for the memo-sharing contract)."""
-        key = (
-            "fused-floors", measure.name, alpha, te_weight,
-            kmax, budget, pool, sample_frac,
-        )
+        key = ("fused-floors", measure.name, alpha, te_weight)
         engine = self._engines.get(key)
         if engine is None:
             from ..core.fused import FusedBatchEngine
 
             base = self.engine_for(tree, measure, alpha, te_weight)
-            sketch = self.sketch_for(
-                base, kmax=kmax, budget=budget, pool=pool,
-                sample_frac=sample_frac,
-            )
             engine = FusedBatchEngine(
-                tree, self, measure, alpha, te_weight, floors=sketch
+                tree, self, measure, alpha, te_weight,
+                floors=self.sketch_for(base),
             )
             self._engines[key] = engine
         return engine
@@ -409,38 +362,22 @@ class IndexSnapshot:
         alpha: float,
         te_weight: float,
         verify: bool = True,
-        kmax: Optional[int] = None,
-        budget: Optional[int] = None,
-        pool: Optional[int] = None,
-        sample_frac: Optional[float] = None,
-        lsh: bool = True,
     ):
         """The memoized sketch-filter engine
         (:class:`~repro.approx.engine.ApproxEngine`) for one setting.
 
-        ``lsh`` arms the engine's LSH pre-filter stage (candidate
-        refutation by exact probes against band-bucket competitors).
-        Verified-mode ids are unaffected — the stage only refutes
-        provable non-members before the full probe; in raw mode it
-        shrinks the conservative candidate set (higher precision,
-        recall still 1.0).
+        ``verify`` picks verified (exact ids) or raw (conservative
+        candidate set) mode; both modes read the same sketch.
         """
-        key = (
-            "approx", measure.name, alpha, te_weight, verify,
-            kmax, budget, pool, sample_frac, lsh,
-        )
+        key = ("approx", measure.name, alpha, te_weight, verify)
         engine = self._engines.get(key)
         if engine is None:
             from ..approx.engine import ApproxEngine
 
             base = self.engine_for(tree, measure, alpha, te_weight)
-            sketch = self.sketch_for(
-                base, kmax=kmax, budget=budget, pool=pool,
-                sample_frac=sample_frac,
-            )
             engine = ApproxEngine(
-                tree, self, measure, alpha, te_weight, sketch,
-                verify=verify, lsh=lsh,
+                tree, self, measure, alpha, te_weight,
+                self.sketch_for(base), verify=verify,
             )
             self._engines[key] = engine
         return engine

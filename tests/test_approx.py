@@ -17,11 +17,14 @@ above:
   verify=True`` matches the exact engine exactly; ``verify=False``
   returns a sorted superset (recall 1.0 by construction);
 * **plumbing** — filter counters, env knobs (``REPRO_ENGINE=approx``,
-  ``REPRO_WARM_FLOORS``), fused+approx rejection, and the shm segment
-  round-trip of the sketch arrays.
+  ``REPRO_WARM_FLOORS``), fused+approx rejection, one sketch per
+  similarity setting across sequential, worker and warm-floor paths,
+  and the shm segment round-trip of the sketch arrays.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +32,7 @@ from hypothesis import strategies as st
 
 from repro import SimilarityConfig
 from repro.approx import KnnlSketch, build_sketch
-from repro.approx.sketch import DEFAULT_SKETCH_KMAX
+from repro.approx.sketch import SKETCH_KMAX
 from repro.core.rstknn import RSTkNNSearcher
 from repro.errors import QueryError
 from repro.index.iurtree import IURTree
@@ -95,7 +98,7 @@ class TestFloorConservativeness:
     @settings(deadline=None, max_examples=25)
     @given(
         alpha=st.sampled_from(_ALPHAS),
-        k=st.integers(min_value=1, max_value=DEFAULT_SKETCH_KMAX),
+        k=st.integers(min_value=1, max_value=SKETCH_KMAX),
     )
     def test_every_floor_bounded_by_brute_force_sk(self, alpha, k):
         cell = _cell(alpha)
@@ -131,7 +134,7 @@ class TestFloorConservativeness:
     def test_describe_and_nbytes(self):
         sketch = _cell(0.4)["sketch"]
         desc = sketch.describe()
-        assert desc["kmax"] == DEFAULT_SKETCH_KMAX
+        assert desc["kmax"] == SKETCH_KMAX
         assert desc["nbytes"] == sketch.nbytes() > 0
         assert desc["frontier_size"] == len(sketch.frontier)
 
@@ -145,7 +148,7 @@ class TestWarmFloorParity:
     @settings(deadline=None, max_examples=30)
     @given(
         alpha=st.sampled_from(_ALPHAS),
-        k=st.integers(min_value=1, max_value=DEFAULT_SKETCH_KMAX + 4),
+        k=st.integers(min_value=1, max_value=SKETCH_KMAX + 4),
         qi=st.integers(min_value=0, max_value=5),
     )
     def test_warm_floors_ids_bit_identical(self, alpha, k, qi):
@@ -185,7 +188,7 @@ class TestApproxEngine:
     @settings(deadline=None, max_examples=30)
     @given(
         alpha=st.sampled_from(_ALPHAS),
-        k=st.integers(min_value=1, max_value=DEFAULT_SKETCH_KMAX + 4),
+        k=st.integers(min_value=1, max_value=SKETCH_KMAX + 4),
         qi=st.integers(min_value=0, max_value=5),
     )
     def test_verified_mode_byte_identical(self, alpha, k, qi):
@@ -198,7 +201,7 @@ class TestApproxEngine:
     @settings(deadline=None, max_examples=30)
     @given(
         alpha=st.sampled_from(_ALPHAS),
-        k=st.integers(min_value=1, max_value=DEFAULT_SKETCH_KMAX + 4),
+        k=st.integers(min_value=1, max_value=SKETCH_KMAX + 4),
         qi=st.integers(min_value=0, max_value=5),
     )
     def test_raw_mode_is_sorted_superset(self, alpha, k, qi):
@@ -224,15 +227,48 @@ class TestApproxEngine:
         assert engine.counters["verified"] == 0
         assert set(engine.last_filter) == {
             "nodes_pruned", "objects_pruned", "spatial_shortcuts",
-            "lsh_pruned", "candidates", "verified", "answers",
+            "candidates", "verified", "answers",
         }
         assert engine.last_filter["candidates"] >= 0
-        # Raw mode returns every surviving candidate, so the answer
-        # count is the candidate count minus the LSH-refuted ones.
-        assert engine.last_filter["answers"] == (
-            engine.last_filter["candidates"]
-            - engine.last_filter["lsh_pruned"]
+        # Raw mode returns every surviving candidate.
+        assert (
+            engine.last_filter["answers"] == engine.last_filter["candidates"]
         )
+
+    def test_spatial_shortcuts_counted_at_pure_spatial_alpha(self):
+        # At alpha == 1.0 the stage-1 bound IS the full bound (text is
+        # skipped by construction), so every node prune there must be
+        # counted as a spatial shortcut — the counter used to read 0.
+        env = _env()
+        tree = env["tree"]
+        measure = make_measure(env["dataset"].config.text_measure)
+        snap = tree.snapshot()
+        engine = snap.approx_engine_for(tree, measure, 1.0, 0.0, verify=False)
+        pruned = shortcuts = 0
+        for query in env["queries"]:
+            engine.search(query, 2)
+            pruned += engine.last_filter["nodes_pruned"]
+            shortcuts += engine.last_filter["spatial_shortcuts"]
+            assert (
+                engine.last_filter["spatial_shortcuts"]
+                == engine.last_filter["nodes_pruned"]
+            )
+        assert pruned > 0 and shortcuts == pruned
+
+    def test_every_path_reads_one_sketch(self):
+        # Verified, raw and warm-floor engines of one similarity setting
+        # share a single memoized sketch — no path builds its own.
+        dataset = gn_like(n=60)
+        tree = IURTree.build(dataset)
+        query = sample_queries(dataset, 1, seed=5)[0]
+        config = SimilarityConfig(alpha=0.4)
+        for kwargs in (
+            dict(engine="approx", approx_verify=True),
+            dict(engine="approx", approx_verify=False),
+            dict(engine="snapshot", warm_floors=True),
+        ):
+            RSTkNNSearcher(tree, config=config, **kwargs).search(query, 3)
+        assert len(tree.snapshot()._sketches) == 1
 
     def test_env_knob_selects_approx_engine(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "approx")
@@ -249,12 +285,40 @@ class TestApproxEngine:
             BatchSearcher(env["tree"], engine="approx", mode="fused")
 
     def test_approx_batch_matches_exact(self):
-        env = _env()
-        exact = BatchSearcher(env["tree"], engine="snapshot")
-        approx = BatchSearcher(env["tree"], engine="approx")
-        ref = [r.ids for r in exact.run(env["queries"], 4).results]
-        got = [r.ids for r in approx.run(env["queries"], 4).results]
-        assert got == ref
+        # Sequential and parallel (shm and pickle transports) runs must
+        # read the same sketch: verified ids equal the exact engine's,
+        # and raw ids — which expose the floors directly — agree across
+        # every transport.  n = 600 exceeds the sketch's frontier budget,
+        # so node rows cover several objects and raw ids depend on the
+        # profiles too (below the budget every row is a single object).
+        dataset = gn_like(n=600)
+        tree = IURTree.build(dataset)
+        queries = sample_queries(dataset, 8, seed=23)
+        config = SimilarityConfig(
+            alpha=0.3, text_measure=dataset.config.text_measure
+        )
+        exact = BatchSearcher(tree, config, engine="snapshot")
+        ref = [r.ids for r in exact.run(queries, 4).results]
+        for verify in (True, False):
+            seq = BatchSearcher(
+                tree, config, engine="approx", approx_verify=verify
+            )
+            got = [r.ids for r in seq.run(queries, 4).results]
+            if verify:
+                assert got == ref
+            else:
+                assert all(set(e) <= set(g) for e, g in zip(ref, got))
+            for share in ("shm", "pickle"):
+                par = BatchSearcher(
+                    tree, config, engine="approx", approx_verify=verify,
+                    workers=2, share=share,
+                )
+                with warnings.catch_warnings():
+                    # Without numpy "shm" degrades to pickle, loudly.
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    batch = par.run(queries, 4)
+                assert batch.stats.share is not None  # ran in workers
+                assert [r.ids for r in batch.results] == got, share
 
 
 # ----------------------------------------------------------------------
@@ -292,13 +356,8 @@ class TestShmSketchRoundTrip:
             assert isinstance(twin, KnnlSketch)
             assert list(twin.floor_table) == list(parent.floor_table)
             assert list(twin.floor_idx) == list(parent.floor_idx)
-            assert list(twin.curve_c) == list(parent.curve_c)
-            assert list(twin.curve_b) == list(parent.curve_b)
             assert list(twin.obj_profile) == list(parent.obj_profile)
             assert list(twin.row_objects) == list(parent.row_objects)
-            assert list(twin.lsh_sig) == list(parent.lsh_sig)
-            assert twin.sample_frac == parent.sample_frac
-            assert twin.curves_true == parent.curves_true
             assert twin.frontier == parent.frontier
             # And the attached searcher answers identically in approx
             # mode against the parent's exact engine.
@@ -330,7 +389,7 @@ class TestShmSketchRoundTrip:
             # A segment written by a previous layout version (same
             # RSTSHM family, older version byte pair) is *stale*, not
             # foreign: the remedy is re-exporting with this build.
-            seg.shm.buf[: len(SEGMENT_MAGIC)] = b"RSTSHM02"
+            seg.shm.buf[: len(SEGMENT_MAGIC)] = b"RSTSHM03"
             with pytest.raises(StaleSegmentError):
                 attach(seg.name)
             # Arbitrary bytes are a foreign (non-snapshot) segment.
@@ -361,25 +420,6 @@ class TestBuildEdges:
         for slot in objs:
             for k in range(2, sketch.kmax + 1):
                 assert sketch.obj_floor(slot, k) == 0.0
-
-    def test_sketch_knob_override_plumbs_through(self):
-        env = _env()
-        searcher = _searcher(
-            0.4,
-            engine="approx",
-            sketch_kmax=4,
-            sketch_budget=16,
-            sketch_pool=8,
-        )
-        searcher.search(env["queries"][0], 2)
-        snap = env["tree"].snapshot()
-        engine = snap.approx_engine_for(
-            env["tree"], searcher.measure, searcher.alpha,
-            searcher.te_weight, verify=True, kmax=4, budget=16, pool=8,
-        )
-        assert engine.sketch.kmax == 4
-        assert engine.sketch.budget == 16
-        assert engine.sketch.pool == 8
 
 
 # ----------------------------------------------------------------------
@@ -418,8 +458,11 @@ class TestAdaptivePeel:
         self._check(_peel_frontier)
 
     def test_shard_peel_continues_past_empty_node(self):
+        from repro.approx import sketch
         from repro.shard.summaries import _peel_frontier
 
+        # One peel serves the sketch rows and the shard admission tables.
+        assert _peel_frontier is sketch._peel_frontier
         self._check(_peel_frontier)
 
     def test_overflowing_node_is_kept_while_smaller_nodes_refine(self):
@@ -437,56 +480,12 @@ class TestAdaptivePeel:
 
 
 # ----------------------------------------------------------------------
-# Curve sampling: symmetric window, true-kNN pass, budget monotonicity
+# k-distance profiles: brute-force exactness and other measures
 # ----------------------------------------------------------------------
 
 
 class TestCurveSampling:
-    def test_edge_objects_get_curves_at_interior_rate(self):
-        # sample_frac=0.0 forces the layout-window fallback for every
-        # object.  The window is circular, so the first and last
-        # objects in layout order see exactly as many samples as
-        # interior ones; with pool >= 2*kmax every object has enough
-        # samples for a fit wherever similarities are nonzero.
-        env = _env()
-        tree = env["tree"]
-        snap = tree.snapshot()
-        measure = make_measure(env["dataset"].config.text_measure)
-        engine = snap.engine_for(tree, measure, 0.4, 0.0)
-        sketch = build_sketch(engine, sample_frac=0.0)
-        assert sketch.curves_true == 0
-        objs = [s for s in range(snap.n_slots) if snap.is_obj[s]]
-        kmax = sketch.kmax
-        edge = objs[:kmax] + objs[-kmax:]
-        interior = objs[kmax:-kmax]
-        edge_rate = sum(
-            1 for s in edge if sketch.curve_c[s] > 0.0
-        ) / len(edge)
-        interior_rate = sum(
-            1 for s in interior if sketch.curve_c[s] > 0.0
-        ) / len(interior)
-        # A forward-only window starves trailing objects entirely; the
-        # symmetric window keeps both populations at the same rate.
-        assert edge_rate >= interior_rate - 1e-9
-
-    @settings(deadline=None, max_examples=10)
-    @given(
-        alpha=st.sampled_from(_ALPHAS),
-        frac=st.sampled_from((0.0, 0.5, 1.0)),
-    )
-    def test_floors_conservative_across_sample_fracs(self, alpha, frac):
-        cell = _cell(alpha)
-        env = _env()
-        tree = env["tree"]
-        snap = tree.snapshot()
-        measure = make_measure(env["dataset"].config.text_measure)
-        engine = snap.engine_for(tree, measure, alpha, 0.0)
-        sketch = build_sketch(engine, sample_frac=frac)
-        for slot in cell["objs"]:
-            sims = cell["brute"][slot]
-            for k in (1, 2, sketch.kmax):
-                s_k = sims[k - 1] if len(sims) >= k else 0.0
-                assert sketch.obj_floor(slot, k) <= s_k + 1e-12
+    """The sampled k-distance curve is the per-object ``obj_profile``."""
 
     def test_floors_conservative_under_other_measures(self):
         env = _env()
@@ -495,7 +494,7 @@ class TestCurveSampling:
         for name in ("cosine", "dice"):
             measure = make_measure(name)
             engine = snap.engine_for(tree, measure, 0.4, 0.0)
-            sketch = build_sketch(engine, sample_frac=1.0)
+            sketch = build_sketch(engine)
             exact = engine._exact
             ref = snap.ref
             objs = [s for s in range(snap.n_slots) if snap.is_obj[s]]
@@ -508,181 +507,20 @@ class TestCurveSampling:
                     s_k = sims[k - 1] if len(sims) >= k else 0.0
                     assert sketch.obj_floor(a, k) <= s_k + 1e-12
 
-    def test_true_pass_fits_curves_over_exact_profiles(self):
-        env = _env()
-        tree = env["tree"]
-        snap = tree.snapshot()
-        measure = make_measure(env["dataset"].config.text_measure)
-        engine = snap.engine_for(tree, measure, 0.4, 0.0)
-        sketch = build_sketch(engine, sample_frac=1.0)
-        objs = [s for s in range(snap.n_slots) if snap.is_obj[s]]
-        assert sketch.curves_true == len(objs)
-        # The true pass collects each object's exact top-kmax, so the
-        # fitted curve is bounded by the brute-force profile pointwise.
-        cell = _cell(0.4)
-        kmax = sketch.kmax
-        for slot in objs:
-            sims = cell["brute"][slot]
-            for k in range(1, kmax + 1):
-                s_k = sims[k - 1] if len(sims) >= k else 0.0
-                c = sketch.curve_c[slot]
-                if c > 0.0:
-                    curve = c * k ** -sketch.curve_b[slot]
-                    assert curve <= s_k + 1e-12
-                    # The stored profile equals the exact sampled s_k
-                    # and dominates the curve fitted under it.
+    def test_true_pass_profile_equals_brute_force_sk(self):
+        # On a small corpus the true-kNN walk finishes well inside its
+        # pop cap, so every profile entry is the exact s_k, and the
+        # object floor (max of row floor and profile) is exactly s_k.
+        for alpha in _ALPHAS:
+            cell = _cell(alpha)
+            sketch = cell["sketch"]
+            kmax = sketch.kmax
+            for slot in cell["objs"]:
+                sims = cell["brute"][slot]
+                for k in range(1, kmax + 1):
+                    s_k = sims[k - 1] if len(sims) >= k else 0.0
                     prof = sketch.obj_profile[slot * kmax + (k - 1)]
                     assert prof == pytest.approx(s_k, abs=1e-12)
-                    assert prof >= curve - 1e-12
-                    assert sketch.obj_floor(slot, k) >= prof - 1e-12
-
-    def test_floors_monotone_in_budget(self):
-        env = _env()
-        tree = env["tree"]
-        snap = tree.snapshot()
-        measure = make_measure(env["dataset"].config.text_measure)
-        engine = snap.engine_for(tree, measure, 0.4, 0.0)
-        sketches = [
-            build_sketch(engine, budget=budget, sample_frac=0.0)
-            for budget in (16, 32, 64, 128)
-        ]
-        objs = [s for s in range(snap.n_slots) if snap.is_obj[s]]
-        for lo, hi in zip(sketches, sketches[1:]):
-            assert len(lo.frontier) <= len(hi.frontier)
-            for k in range(1, lo.kmax + 1):
-                assert lo.global_floor(k) <= hi.global_floor(k) + 1e-12
-                for slot in objs:
-                    assert (
-                        lo.node_floor(slot, k)
-                        <= hi.node_floor(slot, k) + 1e-12
+                    assert sketch.obj_floor(slot, k) == pytest.approx(
+                        s_k, abs=1e-12
                     )
-
-
-# ----------------------------------------------------------------------
-# LSH pre-filter: recall, byte-identity, counters, knobs
-# ----------------------------------------------------------------------
-
-
-class TestLshPreFilter:
-    def _engines(self, alpha):
-        env = _env()
-        tree = env["tree"]
-        measure = make_measure(env["dataset"].config.text_measure)
-        snap = tree.snapshot()
-        on = snap.approx_engine_for(
-            tree, measure, alpha, 0.0, verify=False, lsh=True
-        )
-        off = snap.approx_engine_for(
-            tree, measure, alpha, 0.0, verify=False, lsh=False
-        )
-        return env, on, off
-
-    @settings(deadline=None, max_examples=20)
-    @given(
-        alpha=st.sampled_from(_ALPHAS),
-        k=st.integers(min_value=1, max_value=DEFAULT_SKETCH_KMAX),
-        qi=st.integers(min_value=0, max_value=5),
-    )
-    def test_lsh_raw_set_nested_between_exact_and_unfiltered(
-        self, alpha, k, qi
-    ):
-        env, on, off = self._engines(alpha)
-        query = env["queries"][qi]
-        exact_ids = _searcher(alpha, engine="snapshot").search(query, k).ids
-        on_ids = on.search(query, k).ids
-        off_ids = off.search(query, k).ids
-        # The pre-filter only ever *removes* refuted candidates, and
-        # never a true answer: exact ⊆ lsh-on ⊆ lsh-off (recall 1.0).
-        assert set(exact_ids) <= set(on_ids) <= set(off_ids)
-
-    @settings(deadline=None, max_examples=20)
-    @given(
-        alpha=st.sampled_from(_ALPHAS),
-        k=st.integers(min_value=1, max_value=DEFAULT_SKETCH_KMAX),
-        qi=st.integers(min_value=0, max_value=5),
-    )
-    def test_verified_mode_identical_with_and_without_lsh(
-        self, alpha, k, qi
-    ):
-        env = _env()
-        query = env["queries"][qi]
-        exact_ids = _searcher(alpha, engine="snapshot").search(query, k).ids
-        for lsh in (True, False):
-            searcher = _searcher(
-                alpha, engine="approx", approx_verify=True, approx_lsh=lsh
-            )
-            assert searcher.search(query, k).ids == exact_ids
-
-    def test_lsh_counter_published(self):
-        env, on, _off = self._engines(0.4)
-        on.search(env["queries"][0], 4)
-        assert "lsh_pruned" in on.counters
-        assert on.last_filter["lsh_pruned"] >= 0
-        assert (
-            on.last_filter["answers"]
-            == on.last_filter["candidates"] - on.last_filter["lsh_pruned"]
-        )
-
-    def test_env_knob_disarms_lsh(self, monkeypatch):
-        monkeypatch.setenv("REPRO_APPROX_LSH", "0")
-        assert not _searcher(0.4, engine="approx").approx_lsh
-        monkeypatch.delenv("REPRO_APPROX_LSH")
-        assert _searcher(0.4, engine="approx").approx_lsh
-        monkeypatch.setenv("REPRO_APPROX_LSH", "off")
-        # An explicit argument beats the environment.
-        assert _searcher(
-            0.4, engine="approx", approx_lsh=True
-        ).approx_lsh
-
-    def test_spatial_shortcuts_counted_at_pure_spatial_alpha(self):
-        # At alpha == 1.0 the stage-1 bound IS the full bound (text is
-        # skipped by construction), so every node prune there must be
-        # counted as a spatial shortcut — the counter used to read 0.
-        env = _env()
-        tree = env["tree"]
-        measure = make_measure(env["dataset"].config.text_measure)
-        snap = tree.snapshot()
-        engine = snap.approx_engine_for(
-            tree, measure, 1.0, 0.0, verify=False, lsh=False
-        )
-        pruned = shortcuts = 0
-        for query in env["queries"]:
-            engine.search(query, 2)
-            pruned += engine.last_filter["nodes_pruned"]
-            shortcuts += engine.last_filter["spatial_shortcuts"]
-            assert (
-                engine.last_filter["spatial_shortcuts"]
-                == engine.last_filter["nodes_pruned"]
-            )
-        assert pruned > 0 and shortcuts == pruned
-
-
-# ----------------------------------------------------------------------
-# Knob validation and plumbing
-# ----------------------------------------------------------------------
-
-
-class TestSketchKnobs:
-    def test_perf_config_validates_sample_frac(self):
-        from repro.config import PerfConfig
-        from repro.errors import ConfigError
-
-        assert PerfConfig(sketch_sample_frac=0.5).sketch_sample_frac == 0.5
-        with pytest.raises(ConfigError):
-            PerfConfig(sketch_sample_frac=-0.1)
-        with pytest.raises(ConfigError):
-            PerfConfig(sketch_sample_frac=1.5)
-        with pytest.raises(ConfigError):
-            PerfConfig(approx_lsh="yes")
-
-    def test_sample_frac_memoizes_distinct_sketches(self):
-        env = _env()
-        tree = env["tree"]
-        measure = make_measure(env["dataset"].config.text_measure)
-        snap = tree.snapshot()
-        engine = snap.engine_for(tree, measure, 0.4, 0.0)
-        full = snap.sketch_for(engine, sample_frac=1.0)
-        window = snap.sketch_for(engine, sample_frac=0.0)
-        assert full is not window
-        assert full.curves_true > 0 and window.curves_true == 0
-        assert snap.sketch_for(engine, sample_frac=1.0) is full
