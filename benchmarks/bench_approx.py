@@ -18,7 +18,7 @@ and writes ``BENCH_approx.json`` with QPS, speedups, recall/precision,
 the sketch build cost (time and bytes, also under
 ``report["phases"]``), and the filter counters.
 
-**Five hard gates** (the run exits non-zero on any failure):
+**Six hard gates** (the run exits non-zero on any failure):
 
 1. warm floors and verified approx must return ids identical to the
    exact snapshot engine in every cell — always armed, ``--quick``
@@ -26,14 +26,16 @@ the sketch build cost (time and bytes, also under
 2. raw-filter recall must be exactly 1.0 in every cell — always armed
    (the conservative sketch guarantees it by construction, so any dip
    is a soundness bug, not a tuning miss);
-3. warm-floor single-query QPS must be >= 1.2x the snapshot engine in
+3. raw-filter ids must equal the exact ids in every cell with
+   ``k <= kmax`` — always armed (the sketch stores each object's exact
+   ``s_k``, so the raw filter *is* the membership test there);
+4. every object row of every sketch must equal its brute-force
+   ``s_k`` (all pairs through the engine's ``_exact``) — armed below
+   ``n = 50_000``, where the quadratic check is affordable;
+5. warm-floor single-query QPS must be >= 1.2x the snapshot engine in
    the headline cell — armed at ``n >= 50_000`` (floors only matter
    once contribution lists dominate);
-4. raw-filter precision must be >= 10x the pre-true-kNN baseline in
-   every baselined cell — armed at ``n >= 50_000``; smaller runs
-   (``--quick`` included) instead gate on an absolute small-n floor,
-   so the smoke tier still catches precision regressions;
-5. verified-mode QPS must be strictly above the pre-true-kNN baseline
+6. verified-mode QPS must be strictly above the first sketch's baseline
    in every baselined cell — armed at ``n >= 50_000``.
 
 Usage::
@@ -45,10 +47,12 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import heapq
 import json
 import sys
 from typing import Dict, List
 
+from repro.approx.sketch import SKETCH_KMAX
 from repro.bench.gates import ids_gate, median_qps, report_header, timed
 from repro.config import SimilarityConfig
 from repro.core.rstknn import RSTkNNSearcher
@@ -66,18 +70,10 @@ WARM_SPEEDUP_GATE = 1.2
 #: the gate is exact: anything below is a soundness bug.
 RECALL_GATE = 1.0
 
-#: Raw-filter precision of the layout-window-only sketch (the
-#: pre-true-kNN build) at n=100_000 — the baseline the true-kNN profiles
-#: must beat by PRECISION_MULTIPLE_GATE.
-_BASELINE_PRECISION = {
-    (4, 0.3): 0.011241,
-    (4, 0.6): 0.025641,
-    (8, 0.3): 0.009395,
-    (8, 0.6): 0.022358,
-}
-
-#: Verified-mode QPS of the same baseline build at n=100_000; the
-#: tighter floors must strictly improve every baselined cell.
+#: Verified-mode QPS at n=100_000 of the first sketch (node-floor rows
+#: plus per-object curves fitted to layout-window samples, since
+#: replaced); the exact profiles must strictly improve every
+#: baselined cell.
 _BASELINE_VERIFIED_QPS = {
     (4, 0.3): 1.01185,
     (4, 0.6): 5.64065,
@@ -85,12 +81,23 @@ _BASELINE_VERIFIED_QPS = {
     (8, 0.6): 1.21472,
 }
 
-PRECISION_MULTIPLE_GATE = 10.0
 
-#: Absolute raw-precision floor for sub-GATE_N runs (the CI smoke
-#: tier): small corpora run far above this, so a trip means the
-#: k-distance profiles regressed, not that the workload drifted.
-QUICK_PRECISION_GATE = 0.05
+def profile_mismatches(engine, sketch) -> int:
+    """Object rows of ``sketch`` that differ from brute-force ``s_k``."""
+    snap = engine.snap
+    exact = engine._exact
+    ref = snap.ref
+    kmax = sketch.kmax
+    objs = [s for s in range(snap.n_slots) if snap.is_obj[s]]
+    bad = 0
+    for a in objs:
+        top = heapq.nlargest(
+            kmax, (exact(a, b) for b in objs if ref[b] != ref[a])
+        )
+        top += [0.0] * (kmax - len(top))
+        if [sketch.obj_floor(a, k) for k in range(1, kmax + 1)] != top:
+            bad += 1
+    return bad
 
 
 def recall_precision(
@@ -157,9 +164,8 @@ def bench_cell(
         tree, raw.measure, raw.alpha, raw.te_weight, verify=False
     )
     before = dict(raw_engine.counters)
-    quality = recall_precision(
-        reference, [raw.search(q, k).ids for q in queries]
-    )
+    raw_ids = [raw.search(q, k).ids for q in queries]
+    quality = recall_precision(reference, raw_ids)
     flow = {
         key: raw_engine.counters[key] - before.get(key, 0)
         for key in ("candidates", "answers")
@@ -168,6 +174,12 @@ def bench_cell(
         raise SystemExit(
             f"recall gate FAILED ({label}): "
             f"{quality['recall']:.4f} < {RECALL_GATE}"
+        )
+    if k <= SKETCH_KMAX and raw_ids != reference:
+        raise SystemExit(
+            f"raw == exact gate FAILED ({label}): the raw filter kept "
+            f"{quality['returned_results']} ids, exact answers "
+            f"{quality['reference_results']}"
         )
     metrics.gauge("approx.recall").set(quality["recall"])
 
@@ -267,14 +279,24 @@ def main(argv=None) -> int:
     # Build the sketch for every sweep setting inside one timed phase so
     # the report separates freeze-time cost from per-query wins.
     sketches = []
+    built = []
     with timer.phase("sketch"):
         for alpha in alphas:
             config = SimilarityConfig(alpha=alpha)
             s = RSTkNNSearcher(tree, config=config, engine="snapshot")
-            sketch = snapshot.sketch_for(
-                snapshot.engine_for(tree, s.measure, s.alpha, s.te_weight)
-            )
+            engine = snapshot.engine_for(tree, s.measure, s.alpha, s.te_weight)
+            sketch = snapshot.sketch_for(engine)
             sketches.append(dict(sketch.describe(), alpha=alpha))
+            built.append((alpha, engine, sketch))
+    gate_armed = n >= GATE_N
+    if not gate_armed:
+        for alpha, engine, sketch in built:
+            bad = profile_mismatches(engine, sketch)
+            if bad:
+                raise SystemExit(
+                    f"profile exactness gate FAILED (alpha={alpha}): "
+                    f"{bad} object rows differ from brute-force s_k"
+                )
 
     metrics = MetricsRegistry()
     with timer.phase("walk"):
@@ -285,7 +307,6 @@ def main(argv=None) -> int:
         ]
 
     headline = cells[0]
-    gate_armed = n >= GATE_N
     if gate_armed and (
         headline["speedup_warm_vs_snapshot"] < WARM_SPEEDUP_GATE
     ):
@@ -296,34 +317,17 @@ def main(argv=None) -> int:
             f"{WARM_SPEEDUP_GATE}x at n={n}"
         )
 
-    # Precision and verified-QPS gates: against the pre-true-kNN
-    # baseline at scale, against the absolute smoke floor below it.
+    # Verified-QPS gate against the first sketch's baseline at scale.
     for cell in cells:
         key = (cell["k"], cell["alpha"])
-        label = f"k={key[0]} alpha={key[1]}"
-        if gate_armed:
-            baseline = _BASELINE_PRECISION.get(key)
-            if baseline is not None and (
-                cell["precision"] < PRECISION_MULTIPLE_GATE * baseline
-            ):
-                raise SystemExit(
-                    f"precision gate FAILED ({label}): "
-                    f"{cell['precision']:.4f} < "
-                    f"{PRECISION_MULTIPLE_GATE}x baseline {baseline:.4f}"
-                )
-            qps_floor = _BASELINE_VERIFIED_QPS.get(key)
-            if qps_floor is not None and (
-                cell["approx_verified_qps"] <= qps_floor
-            ):
-                raise SystemExit(
-                    f"verified-QPS gate FAILED ({label}): "
-                    f"{cell['approx_verified_qps']:.3f} <= baseline "
-                    f"{qps_floor:.3f}"
-                )
-        elif cell["precision"] < QUICK_PRECISION_GATE:
+        qps_floor = _BASELINE_VERIFIED_QPS.get(key)
+        if gate_armed and qps_floor is not None and (
+            cell["approx_verified_qps"] <= qps_floor
+        ):
             raise SystemExit(
-                f"small-n precision gate FAILED ({label}): "
-                f"{cell['precision']:.4f} < {QUICK_PRECISION_GATE}"
+                f"verified-QPS gate FAILED (k={key[0]} alpha={key[1]}): "
+                f"{cell['approx_verified_qps']:.3f} <= baseline "
+                f"{qps_floor:.3f}"
             )
 
     report = report_header(n, args.quick, timer=timer, snapshot=snapshot)
@@ -333,15 +337,12 @@ def main(argv=None) -> int:
         "warm_speedup_gate": WARM_SPEEDUP_GATE,
         "warm_speedup_gate_armed": gate_armed,
         "warm_speedup_gate_n": GATE_N,
-        "precision_multiple_gate": PRECISION_MULTIPLE_GATE,
-        "precision_baseline": {
-            f"{k},{a}": v for (k, a), v in _BASELINE_PRECISION.items()
-        },
+        "raw_equals_exact_kmax": SKETCH_KMAX,
+        "profile_exactness_gate_armed": not gate_armed,
         "verified_qps_baseline": {
             f"{k},{a}": v
             for (k, a), v in _BASELINE_VERIFIED_QPS.items()
         },
-        "quick_precision_gate": QUICK_PRECISION_GATE,
     }
     report["sketches"] = sketches
     report["cells"] = cells

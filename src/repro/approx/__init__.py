@@ -5,12 +5,11 @@ and :mod:`repro.approx.engine` for the sketch-filtered search engine.
 """
 
 from .engine import ApproxEngine
-from .sketch import SKETCH_BUDGET, SKETCH_KMAX, KnnlSketch, build_sketch
+from .sketch import SKETCH_KMAX, KnnlSketch, build_sketch
 
 __all__ = [
     "ApproxEngine",
     "KnnlSketch",
     "build_sketch",
     "SKETCH_KMAX",
-    "SKETCH_BUDGET",
 ]

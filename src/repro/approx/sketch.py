@@ -1,46 +1,32 @@
-"""Frozen kNNL sketches: per-object k-distance floors for pruning.
+"""Frozen kNNL sketches: exact per-object k-distance profiles for pruning.
 
 A :class:`KnnlSketch` is computed once per snapshot and similarity
-setting and holds, for every slot of the snapshot, a *provably
-conservative* lower bound on the k-th best ``SimST`` of every object
-under that slot — the frozen analogue of the competitor floors the
-exact branch-and-bound walk tightens lazily per query.  It is one
-structure with one floor rule, built from two tables:
+setting.  It is one ``n_slots x kmax`` floor table (``floor``):
 
-* **node floors** (``floor_idx`` / ``floor_table``): a frontier of up
-  to :data:`SKETCH_BUDGET` slots is peeled off the snapshot
-  (largest-count first, a complete antichain over the objects), and for
-  each frontier node ``f`` the weighted k-th largest of the pairwise
-  ``MinST(f, g)`` lower bounds (weight ``cnt[g]``; self term
-  ``cnt[f] - 1``) is taken through
-  :func:`repro.core.contributions._kth_largest`.  Every object under
-  ``f`` has at least ``cnt[g]`` competitors at similarity
-  ``>= MinST(f, g)``, so the row lower-bounds its true k-th competitor
-  similarity ``s_k``.  The peel is *adaptive*: a node whose expansion
-  would overflow the budget is kept as its own row and the peel keeps
-  refining smaller nodes that still fit, so the row count approaches
-  the budget instead of stopping at the first oversized node.  Slots
-  under ``f`` inherit ``f``'s row; slots above the frontier use the
-  *global* row (the elementwise minimum over all rows, which is valid
-  for every object of the snapshot).
+* an **object** slot holds its exact *k-distance profile* (the
+  k-distance of Obermeier et al., arXiv:2011.01773; the NN-ball radius
+  of Cheong, Vigneron & Yon, arXiv:0905.4441): entry ``k-1`` is ``s_k``,
+  the k-th largest ``SimST`` between the object and any other object,
+  0.0 when it has fewer than ``k`` competitors;
+* a **directory** slot holds the elementwise minimum of its non-empty
+  children's rows, filled bottom-up — so it equals the minimum ``s_k``
+  over its subtree (an empty directory keeps 0.0);
+* the **global** row (:meth:`KnnlSketch.global_floor`) is the minimum
+  over the non-empty root slots, i.e. over every object.
 
-* **object profiles** (``obj_profile``, the k-distance of Obermeier et
-  al., arXiv:2011.01773): each object's top-:data:`SKETCH_KMAX`
-  competitor similarities, collected by a **true-kNN** walk — a
-  best-first descent of the snapshot with staged ``MaxST`` upper
-  bounds, seeded by layout-neighbour similarities and warm-started by
-  the object's own node-floor row.  The walk is capped at
-  :data:`_TRUE_WALK_POP_CAP` node pops; an uncapped walk returns the
-  exact top-``kmax`` multiset, and a truncated one returns a *subset*
-  of it.  Either way the collected k-th value is ``<= s_k``, so the
-  stored profile is conservative at every ``k <= kmax`` — but it is
-  only guaranteed *equal* to ``s_k`` where the walk finished.  Objects
-  with fewer than ``kmax`` collected competitors get a zero-padded
-  profile (the zero entries never prune) — the count-aware degenerate
-  case, mirroring ``_kth_largest``'s 0.0.
-
-**Floor rule.**  A directory slot's floor is its row floor; an
-object's floor is ``max(row floor, profile)`` (:meth:`KnnlSketch.obj_floor`).
+**Build** (:func:`build_sketch`): a blocked self-join over the
+snapshot's object columns.  :func:`repro.perf.kernels.simst_block`
+evaluates one row block against every column — vectorised with numpy
+when it is importable, the scalar ``_exact`` otherwise — under a fixed
+element budget (:data:`repro.perf.kernels.JOIN_BLOCK_ELEMENTS`).  Each
+row's columns are then rescored with the engine's own ``_exact`` in
+descending kernel order until the next kernel value plus
+:data:`_MARGIN` is ``<=`` the running ``kmax``-th exact value: the
+kernel matches ``_exact`` to far better than the margin, so no
+unrescored column can beat that value and the stored profile is the
+exact top-``kmax`` multiset of ``_exact`` values.  Only ``_exact``
+values are stored, never a kernel float, and soundness never rests on
+the margin: the k-th largest of any rescored subset is ``<= s_k``.
 
 The floors feed three consumers: warm-start pruning in the exact
 engines (:class:`~repro.core.traversal.SnapshotEngine` /
@@ -60,399 +46,186 @@ the query and ``q`` cannot be in ``o``'s reverse k-NN set.  For
 from __future__ import annotations
 
 import heapq
-import math
 import time
 from array import array
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..core.contributions import _kth_largest
-from ..text.interval import IntervalVector
-from ..text.similarity import ExtendedJaccard
+from ..perf import kernels
 
 #: Largest ``k`` the sketch covers; beyond it floors read 0.0 (never
 #: prune).  Matches the shard admission default.
 SKETCH_KMAX = 16
 
-#: Target frontier width for the node-floor rows: more nodes mean
-#: tighter per-subtree floors at quadratic pair-bound build cost.
-SKETCH_BUDGET = 256
+#: Rescoring stops once the next kernel value plus this margin cannot
+#: exceed the running ``kmax``-th exact value.  Kernel and ``_exact``
+#: differ only by float rounding (~1e-15), far inside the margin.
+_MARGIN = 1e-9
 
-#: Node-pop budget of one true-kNN profile walk.  The cluster text
-#: bounds on wide nodes are loose, so the tail of a best-first descent
-#: pops many nodes that contribute nothing; cutting it keeps the build
-#: linear in ``n``.  A truncated walk returns a *subset* of the true
-#: competitor similarities, so the stored profile stays ``<= s_k``
-#: (sound, possibly loose); it is not guaranteed to equal ``s_k``.
-_TRUE_WALK_POP_CAP = 96
+#: Columns ranked per row before the rare full-row sort (ties around
+#: the ``kmax``-th value are the only reason to look further).
+_RANK_SLACK = 8
 
 
 class KnnlSketch:
-    """Frozen per-slot kNNL floors plus per-object k-distance profiles.
+    """One frozen ``n_slots x kmax`` kNNL floor table (see module doc).
 
     Attributes:
         kmax: Largest ``k`` covered; all floors are 0.0 beyond it.
-        frontier: The peeled antichain slots (row ``i`` of the floor
-            table belongs to ``frontier[i]``'s subtree).
-        floor_idx: Per-slot row index into :attr:`floor_table`
-            (``array('q')``, length ``n_slots``); slots above the
-            frontier point at the global row.
-        floor_table: Row-major ``(len(frontier) + 1) x kmax`` floors
-            (``array('d')``); the last row is the global row.
-        obj_profile: Row-major ``n_slots x kmax`` k-distance profile
-            (``array('d')``): entry ``[slot][k-1]`` is object ``slot``'s
-            collected k-th largest competitor similarity (0.0 for
-            directory slots and beyond the collected competitors).
-        row_objects: Objects under each frontier row (``array('q')``,
-            length ``len(frontier)``) — the per-row tightness signal:
-            wide rows share one floor across many objects.
+        floor: Row-major ``n_slots x kmax`` floors (``array('d')``):
+            entry ``[slot][k-1]`` is ``s_k`` for an object slot and the
+            minimum ``s_k`` under a directory slot.
+        global_row: The ``kmax`` floors valid for every object.
         build_seconds: Wall-clock cost of the freeze-time build.
     """
 
-    __slots__ = (
-        "kmax",
-        "frontier",
-        "floor_idx",
-        "floor_table",
-        "obj_profile",
-        "row_objects",
-        "build_seconds",
-    )
+    __slots__ = ("kmax", "floor", "global_row", "build_seconds")
 
     def __init__(
         self,
         kmax: int,
-        frontier: Tuple[int, ...],
-        floor_idx,
-        floor_table,
-        obj_profile,
-        row_objects,
+        floor,
+        global_row: Sequence[float],
         build_seconds: float,
     ) -> None:
         self.kmax = kmax
-        self.frontier = frontier
-        self.floor_idx = floor_idx
-        self.floor_table = floor_table
-        self.obj_profile = obj_profile
-        self.row_objects = row_objects
+        self.floor = floor
+        self.global_row = tuple(global_row)
         self.build_seconds = build_seconds
 
     def node_floor(self, slot: int, k: int) -> float:
-        """Conservative lower bound on ``s_k`` of every object under
-        ``slot`` (0.0 when ``k > kmax``, which never prunes)."""
+        """Lower bound on ``s_k`` of every object under ``slot`` (0.0
+        when ``k > kmax``, which never prunes)."""
         if k > self.kmax:
             return 0.0
-        return self.floor_table[self.floor_idx[slot] * self.kmax + (k - 1)]
+        return self.floor[slot * self.kmax + (k - 1)]
 
     def obj_floor(self, slot: int, k: int) -> float:
-        """Conservative lower bound on object ``slot``'s own ``s_k``:
-        ``max(row floor, profile)``."""
+        """Object ``slot``'s own exact ``s_k`` (0.0 when ``k > kmax``)."""
         if k > self.kmax:
             return 0.0
-        floor = self.floor_table[self.floor_idx[slot] * self.kmax + (k - 1)]
-        y = self.obj_profile[slot * self.kmax + (k - 1)]
-        return y if y > floor else floor
+        return self.floor[slot * self.kmax + (k - 1)]
 
     def global_floor(self, k: int) -> float:
-        """Lower bound on ``s_k`` valid for *every* object (last row)."""
+        """Lower bound on ``s_k`` valid for *every* object."""
         if k > self.kmax:
             return 0.0
-        return self.floor_table[len(self.frontier) * self.kmax + (k - 1)]
+        return self.global_row[k - 1]
 
     def nbytes(self) -> int:
         """Resident bytes of the sketch arrays."""
-        return (
-            self.floor_idx.itemsize * len(self.floor_idx)
-            + self.floor_table.itemsize * len(self.floor_table)
-            + self.obj_profile.itemsize * len(self.obj_profile)
-            + self.row_objects.itemsize * len(self.row_objects)
-        )
+        return self.floor.itemsize * (len(self.floor) + len(self.global_row))
 
     def describe(self) -> Dict[str, object]:
         """Summary counters for logs and benchmark reports."""
-        rows = list(self.row_objects)
         return {
             "kmax": self.kmax,
-            "frontier_size": len(self.frontier),
-            "row_objects_max": max(rows) if rows else 0,
-            "row_objects_mean": (sum(rows) / len(rows)) if rows else 0.0,
+            "slots": len(self.floor) // self.kmax,
             "nbytes": self.nbytes(),
             "build_seconds": self.build_seconds,
         }
 
 
-def _peel_frontier(snap, budget: int) -> List[int]:
-    """Largest-count-first antichain of up to ``budget`` slots.
+def _top_exact(
+    a: int, order, values, cols, kmax: int, zero_exact: bool
+) -> Tuple[List[float], bool]:
+    """Rescore row ``a``'s columns in descending kernel order.
 
-    Shared with the shard admission summaries
-    (:mod:`repro.shard.summaries`): every object of the snapshot lies
-    under exactly one returned slot, which is what makes the per-row
-    floors (and the shard tables) complete.
-
-    Two refusal cases keep the peel *adaptive* instead of aborting: a
-    zero-fanout directory slot (a degenerate empty node) becomes its
-    own frontier row and the peel continues — it must not dump the
-    whole heap and leave the frontier far under budget — and a node
-    whose expansion would overflow the budget is likewise kept as a
-    row while smaller nodes later in the heap may still be refined.
+    Returns the min-heap of the ``kmax`` largest ``_exact`` values seen
+    and whether the stop rule proved no further column can change them
+    (``False`` only when ``order`` ran out before the rule fired).
+    ``zero_exact`` says a kernel value of 0.0 is an exact 0.0, so the
+    zero tail equals the profile's zero padding.
     """
-    frontier: List[int] = []
-    heap: List[Tuple[int, int]] = []  # (-cnt, slot) for directory slots
-    for r in snap.root_slots:
-        if snap.is_obj[r]:
-            frontier.append(r)
+    exact, slots = cols.exact, cols.slots
+    best: List[float] = []
+    for j, v in zip(order, values):
+        if v < 0.0 or (zero_exact and v == 0.0):
+            return best, True
+        if len(best) == kmax and v + _MARGIN <= best[0]:
+            return best, True
+        s = exact(a, slots[j])
+        if len(best) < kmax:
+            heapq.heappush(best, s)
+        elif s > best[0]:
+            heapq.heapreplace(best, s)
+    return best, False
+
+
+def _profiles(cols, kmax: int, floor) -> None:
+    """Write every object's exact profile into ``floor`` (block join)."""
+    np = cols.np
+    slots = cols.slots
+    n = len(slots)
+    zero_exact = np is None or cols.alpha == 0.0
+    ranked = min(kmax + _RANK_SLACK, n)
+    for lo, hi in cols.blocks():
+        values = kernels.simst_block(cols, lo, hi)
+        if np is not None and ranked < n:
+            part = np.argpartition(-values, ranked - 1, axis=1)[:, :ranked]
+            top = np.take_along_axis(values, part, axis=1)
+            by = np.argsort(-top, axis=1, kind="stable")
+            orders = np.take_along_axis(part, by, axis=1).tolist()
+            tops = np.take_along_axis(top, by, axis=1).tolist()
         else:
-            heapq.heappush(heap, (-snap.cnt[r], r))
-    while heap:
-        _neg_cnt, slot = heapq.heappop(heap)
-        children = range(snap.first_child[slot], snap.last_child[slot])
-        fanout = len(children)
-        if fanout == 0:
-            frontier.append(slot)
-            continue
-        if len(frontier) + len(heap) + fanout > budget:
-            frontier.append(slot)
-            continue
-        for c in children:
-            if snap.is_obj[c]:
-                frontier.append(c)
-            else:
-                heapq.heappush(heap, (-snap.cnt[c], c))
-    return frontier
-
-
-def _make_true_topk(engine, kmax: int):
-    """A closure computing one object's exact top-``kmax`` competitor
-    similarities by best-first descent of the snapshot.
-
-    The walk uses the same staged upper bound as the approx tier's
-    query walk — spatial-only first (text capped at 1), blended text
-    bound only when the spatial stage cannot already discard — against
-    a threshold that starts at the caller's warm-start ``floor`` (a
-    proven lower bound on the object's ``s_kmax``) and rises to the
-    running k-th best as real similarities arrive.  Subtrees are
-    skipped only when their upper bound is strictly below the floor or
-    at most the current k-th best, so the returned value multiset
-    equals the true top-``kmax`` exactly (ties may swap which object
-    supplied a value, never the value itself) — unless the
-    :data:`_TRUE_WALK_POP_CAP` node budget trips first, in which case
-    the values are a *subset* of the true multiset and the profile
-    built from them is merely looser, never unsound.
-    """
-    snap = engine.snap
-    measure = engine.measure
-    alpha = engine.alpha
-    fd = engine._fd
-    exact = engine._exact
-    ej = isinstance(measure, ExtendedJaccard)
-    is_obj = snap.is_obj
-    ref = snap.ref
-    xlo, ylo, xhi, yhi = snap.xlo, snap.ylo, snap.xhi, snap.yhi
-    first_child, last_child = snap.first_child, snap.last_child
-    clusters = snap.clusters
-    obj_frozen = snap.obj_frozen
-    obj_vec = snap.obj_vec
-    root_slots = snap.root_slots
-
-    def topk(a: int, floor: float, seeds=()):
-        ax, ay = xlo[a], ylo[a]
-        a_frozen = obj_frozen[a]
-        a_nsq = a_frozen.norm_sq
-        a_iv = None
-        if not ej and alpha < 1.0:
-            a_iv = IntervalVector.from_document(obj_vec[a])
-        ra = ref[a]
-        # Min-heap of the running top-kmax ``(sim, supplier)`` pairs —
-        # suppliers are returned so the build can seed the *next*
-        # object's walk with this object's actual competitors.
-        best: List[Tuple[float, int]] = []
-        seen = set()  # slots already offered (seeds recur in the walk)
-
-        def offer(b: int) -> None:
-            if ref[b] == ra or b in seen:
-                return
-            seen.add(b)
-            s = exact(a, b)
-            if s < floor:
-                # Provably below s_kmax >= floor: cannot be a top value.
-                return
-            if len(best) < kmax:
-                heapq.heappush(best, (s, b))
-            elif s > best[0][0]:
-                heapq.heapreplace(best, (s, b))
-
-        def text_hi(slot: int) -> float:
-            hi = 0.0
-            if ej:
-                for _iv, _int_b, uni_b, insq_b, _unsq_b in clusters[slot]:
-                    d_max = a_frozen.dot(uni_b)
-                    if d_max == 0.0:
-                        pair_hi = 0.0
-                    elif 2.0 * d_max >= a_nsq + insq_b:
-                        pair_hi = 1.0
-                    else:
-                        pair_hi = d_max / (a_nsq + insq_b - d_max)
-                    if pair_hi > hi:
-                        hi = pair_hi
-            else:
-                for ivb, *_ in clusters[slot]:
-                    pair_hi = measure.max_similarity(a_iv, ivb)
-                    if pair_hi > hi:
-                        hi = pair_hi
-            return hi
-
-        pq: List[Tuple[float, int]] = []  # (-upper, slot)
-
-        def push(slot: int) -> None:
-            if alpha > 0.0:
-                dx = max(ax - xhi[slot], 0.0, xlo[slot] - ax)
-                dy = max(ay - yhi[slot], 0.0, ylo[slot] - ay)
-                s_hi = fd(math.hypot(dx, dy))
-                hi = alpha * s_hi + (1.0 - alpha)
-                if hi < floor or (
-                    len(best) == kmax and hi <= best[0][0]
-                ):
-                    return
-                if alpha < 1.0:
-                    hi = alpha * s_hi + (1.0 - alpha) * text_hi(slot)
-            else:
-                hi = text_hi(slot)
-            if hi < floor:
-                return
-            if len(best) == kmax and hi <= best[0][0]:
-                return
-            heapq.heappush(pq, (-hi, slot))
-
-        # Seeds (layout neighbours) are offered before the tree walk:
-        # their exact similarities raise the running threshold early,
-        # so the best-first descent prunes subtrees much sooner.  The
-        # ``seen`` set keeps the walk from counting a seed twice —
-        # a duplicate value would inflate the returned k-th best.
-        for b in seeds:
-            offer(b)
-        for r in root_slots:
-            if is_obj[r]:
-                offer(r)
-            else:
-                push(r)
-        pops = 0
-        while pq:
-            neg_hi, slot = heapq.heappop(pq)
-            if len(best) == kmax and -neg_hi <= best[0][0]:
-                break
-            pops += 1
-            if pops > _TRUE_WALK_POP_CAP:
-                # Budget trip: the values found so far are a subset of
-                # the true top-kmax, so the profile built from them can
-                # only be looser — conservativeness is unconditional.
-                break
-            for c in range(first_child[slot], last_child[slot]):
-                if is_obj[c]:
-                    offer(c)
+            orders = tops = None
+        for i in range(hi - lo):
+            a = slots[lo + i]
+            row = values[i]
+            done = False
+            if orders is not None:
+                best, done = _top_exact(
+                    a, orders[i], tops[i], cols, kmax, zero_exact
+                )
+            if not done:
+                if np is not None:
+                    order = np.argsort(-row, kind="stable").tolist()
+                    row = row.tolist()
                 else:
-                    push(c)
-        pairs = sorted(best, reverse=True)
-        ys = [s for s, _b in pairs]
-        ys.extend([0.0] * (kmax - len(ys)))
-        return ys, [b for _s, b in pairs]
-
-    return topk
+                    order = sorted(range(n), key=row.__getitem__, reverse=True)
+                best, _done = _top_exact(
+                    a, order, [row[j] for j in order], cols, kmax, zero_exact
+                )
+            best.sort(reverse=True)
+            floor[a * kmax:a * kmax + len(best)] = array("d", best)
 
 
 def build_sketch(engine, kmax: int = SKETCH_KMAX) -> KnnlSketch:
     """Compute one snapshot's :class:`KnnlSketch` from its exact engine.
 
     ``engine`` is the :class:`~repro.core.traversal.SnapshotEngine` of
-    the similarity setting being served; its memoized ``_st`` pair table
-    supplies every ``MinST`` lower bound (and keeps the values it
-    computes warm for the query-time walks to reuse).  Every object
-    gets its profile from the true-kNN walk.
+    the similarity setting being served; its ``_exact`` — the function
+    the membership probe counts with — supplies every stored value.
     """
     started = time.perf_counter()
     snap = engine.snap
-    n_slots = snap.n_slots
     cnt = snap.cnt
+    floor = array("d", bytes(8 * snap.n_slots * kmax))
+    cols = kernels.join_columns(engine, kernels._numpy())
+    if cols.slots:
+        _profiles(cols, kmax, floor)
+
+    # Directory rows bottom-up: the level-order layout puts every child
+    # after its parent, so a reverse sweep sees children first.
     is_obj = snap.is_obj
-    st = engine._st
+    first_child, last_child = snap.first_child, snap.last_child
+    for s in range(snap.n_slots - 1, -1, -1):
+        if is_obj[s]:
+            continue
+        rows = [
+            floor[c * kmax:(c + 1) * kmax]
+            for c in range(first_child[s], last_child[s])
+            if cnt[c] > 0
+        ]
+        if rows:
+            floor[s * kmax:(s + 1) * kmax] = array("d", map(min, zip(*rows)))
 
-    frontier = _peel_frontier(snap, SKETCH_BUDGET)
-    n_rows = len(frontier)
-
-    # Node-floor rows: one row per frontier slot plus the global row.
-    floor_table = array("d", [0.0] * ((n_rows + 1) * kmax))
-    for row, f in enumerate(frontier):
-        contribs: List[Tuple[float, int]] = []
-        for g in frontier:
-            if g == f:
-                continue
-            lo, _hi = st(f, g)
-            contribs.append((lo, cnt[g]))
-        cf = cnt[f]
-        if cf >= 2:
-            lo, _hi = st(f, f)
-            contribs.append((lo, cf - 1))
-        base = row * kmax
-        for k in range(1, kmax + 1):
-            floor_table[base + k - 1] = _kth_largest(contribs, k)
-
-    # Every slot starts on the global row; frontier subtrees then claim
-    # their own rows (the frontier is an antichain, so no overlap).
-    # Assigned before the profile pass so the true-kNN walks can
-    # warm-start from each object's own row floor.
-    floor_idx = array("q", [n_rows] * n_slots)
-    first_child = snap.first_child
-    last_child = snap.last_child
-    for row, f in enumerate(frontier):
-        stack = [f]
-        while stack:
-            s = stack.pop()
-            floor_idx[s] = row
-            if not is_obj[s]:
-                fc, lc = first_child[s], last_child[s]
-                if fc >= 0:
-                    stack.extend(range(fc, lc))
-
-    # Per-row tightness: objects sharing each row (wide rows dilute the
-    # floor across many objects).
-    row_objects = array("q", [cnt[f] for f in frontier])
-
-    # Object profiles: each object's top-kmax competitor similarities
-    # via a best-first snapshot walk seeded with layout-neighbour
-    # similarities and warm-started by its row floor.
-    objs = [s for s in range(n_slots) if is_obj[s]]
-    obj_profile = array("d", [0.0] * (n_slots * kmax))
-    topk = _make_true_topk(engine, kmax)
-    seed_span = 2 * kmax
-    # Consecutive objects are layout (hence spatial) neighbours, so the
-    # previous walk's winning suppliers are prime competitor candidates
-    # for the next walk too: chaining them as seeds starts each
-    # threshold near its final value and collapses the descent to a few
-    # node pops.
-    prev_suppliers: List[int] = []
-    for i, a in enumerate(objs):
-        floor = floor_table[floor_idx[a] * kmax + (kmax - 1)]
-        seeds = prev_suppliers + objs[max(0, i - seed_span):i + 1 + seed_span]
-        ys, prev_suppliers = topk(a, floor, seeds)
-        obj_profile[a * kmax:(a + 1) * kmax] = array("d", ys)
-
-    # Global row: elementwise minimum over the frontier rows (valid for
-    # every object), sharpened by the minimum object profile.
-    gbase = n_rows * kmax
-    for k in range(1, kmax + 1):
-        row_min = min(
-            (floor_table[row * kmax + k - 1] for row in range(n_rows)),
-            default=0.0,
-        )
-        prof_min = 0.0
-        if objs:
-            prof_min = min(obj_profile[s * kmax + (k - 1)] for s in objs)
-        floor_table[gbase + k - 1] = max(row_min, prof_min)
-
+    roots = [
+        floor[r * kmax:(r + 1) * kmax] for r in snap.root_slots if cnt[r] > 0
+    ]
+    global_row = list(map(min, zip(*roots))) if roots else [0.0] * kmax
     return KnnlSketch(
         kmax=kmax,
-        frontier=tuple(frontier),
-        floor_idx=floor_idx,
-        floor_table=floor_table,
-        obj_profile=obj_profile,
-        row_objects=row_objects,
+        floor=floor,
+        global_row=global_row,
         build_seconds=time.perf_counter() - started,
     )

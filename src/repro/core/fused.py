@@ -924,21 +924,12 @@ class FusedBatchEngine:
         floors = self.floors
         use_floors = floors is not None and k <= floors.kmax
         if use_floors:
-            f_idx = floors.floor_idx
-            f_tbl = floors.floor_table
+            f_tbl = floors.floor
             f_kmax = floors.kmax
             f_koff = k - 1
-            f_prof = floors.obj_profile
 
             def floor_of(slot: int) -> float:
-                # KnnlSketch's rule: row floor, raised to the object's
-                # own k-distance profile on object slots.
-                fl = f_tbl[f_idx[slot] * f_kmax + f_koff]
-                if is_obj[slot]:
-                    y = f_prof[slot * f_kmax + f_koff]
-                    if y > fl:
-                        return y
-                return fl
+                return f_tbl[slot * f_kmax + f_koff]
 
         root_tmpl = self._template(gs, _ROOT_BLOCK)
         root_qb = self._block(gs, _ROOT_BLOCK)[g]

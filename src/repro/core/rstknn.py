@@ -309,7 +309,8 @@ class RSTkNNSearcher:
             snap = self.tree.snapshot()
             if self.warm_floors:
                 runner = snap.warm_engine_for(
-                    self.tree, self.measure, self.alpha, self.te_weight
+                    self.tree, self.measure, self.alpha, self.te_weight,
+                    metrics=self.metrics,
                 )
             else:
                 runner = snap.engine_for(
@@ -326,6 +327,7 @@ class RSTkNNSearcher:
                 self.alpha,
                 self.te_weight,
                 verify=self.approx_verify,
+                metrics=self.metrics,
             )
             result = runner.search(query, k, trace=trace, cancel=cancel)
             record_search(self.metrics, "approx", result.stats)

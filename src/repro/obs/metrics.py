@@ -426,6 +426,22 @@ def record_approx(
         counter(f"approx.{key}").inc(int(value))
 
 
+def record_sketch_build(
+    metrics: Optional[MetricsRegistry], seconds: float
+) -> None:
+    """Record one kNNL sketch build into a registry.
+
+    Bumps the ``sketch.builds`` counter and sets the
+    ``sketch.build_seconds`` gauge to the build's wall-clock cost — the
+    readiness signal of the derived floor table.  A ``None`` or null
+    registry makes this a no-op (see ``docs/OBSERVABILITY.md``).
+    """
+    if metrics is None or not metrics.enabled:
+        return
+    metrics.counter("sketch.builds").inc()
+    metrics.gauge("sketch.build_seconds").set(seconds)
+
+
 def _fmt(value: float) -> str:
     """Compact float formatting (integers lose the trailing ``.0``)."""
     as_int = int(value)

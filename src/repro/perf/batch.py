@@ -618,6 +618,7 @@ class BatchSearcher:
                     searcher.measure,
                     searcher.alpha,
                     searcher.te_weight,
+                    metrics=self.metrics,
                 )
             else:
                 engine = snap.fused_engine_for(

@@ -514,6 +514,192 @@ def frontier_spatial_components(
     )
 
 
+#: Element budget of one self-join block: rows x columns plus the
+#: postings entries the rows gather.  A fixed constant, so the join's
+#: working set stays bounded at every corpus size.
+JOIN_BLOCK_ELEMENTS = 1 << 17
+
+#: Closed text forms of the numpy join kernel, per measure name:
+#: ``(reduction over shared terms, per-document statistic, form)`` with
+#: ``jaccard`` = ``r / (sa + sb - r)``, ``product`` = ``r / (sa * sb)``
+#: and ``dice`` = ``2r / (sa + sb)``.  Other measures join through the
+#: pure-python block.
+_JOIN_TEXT = {
+    "extended_jaccard": ("dot", lambda v: v.norm_squared, "jaccard"),
+    "weighted_jaccard": ("min", lambda v: v.weight_sum(), "jaccard"),
+    "overlap": ("count", lambda v: float(len(v)), "jaccard"),
+    "cosine": ("dot", lambda v: v.norm, "product"),
+    "dice": ("dot", lambda v: v.norm_squared, "dice"),
+}
+
+
+class JoinColumns:
+    """The object columns of one snapshot similarity setting, laid out
+    for the blocked self-join of :func:`simst_block`.
+
+    ``slots`` are the snapshot's object slots (column ``j`` is object
+    ``slots[j]``), ``refs`` their object ids and ``exact`` the engine's
+    scalar ``SimST``.  ``np`` is ``None`` for the pure-python form;
+    otherwise the numpy arrays hold the coordinates and the documents in
+    CSR (``doc_*``) and term-postings (``post_*``) form, and ``work`` the
+    postings entries each row gathers.
+    """
+
+    __slots__ = (
+        "slots", "refs", "exact", "np", "alpha", "max_d", "x", "y",
+        "ref", "reduction", "form", "stat", "doc_ptr", "doc_term",
+        "doc_w", "doc_row", "post_ptr", "post_col", "post_w", "work",
+    )
+
+    def __init__(self, slots, refs, exact) -> None:
+        self.slots = slots
+        self.refs = refs
+        self.exact = exact
+        self.np = None
+        self.work = None
+
+    def blocks(self) -> Iterator[Tuple[int, int]]:
+        """Consecutive row ranges ``[lo, hi)`` within the element budget
+        (a row over budget on its own still gets a block)."""
+        n = len(self.slots)
+        lo, used = 0, 0
+        for j in range(n):
+            cost = n + (self.work[j] if self.work is not None else 0)
+            if j > lo and used + cost > JOIN_BLOCK_ELEMENTS:
+                yield lo, j
+                lo, used = j, 0
+            used += cost
+        if lo < n:
+            yield lo, n
+
+
+def join_columns(engine, np=None) -> JoinColumns:
+    """The :class:`JoinColumns` of one snapshot engine's setting.
+
+    ``np`` selects the numpy form; ``None`` — or a text measure without
+    a closed form in :data:`_JOIN_TEXT` — gives the pure-python form.
+    """
+    snap = engine.snap
+    slots = [s for s in range(snap.n_slots) if snap.is_obj[s]]
+    refs = [snap.ref[s] for s in slots]
+    cols = JoinColumns(slots, refs, engine._exact)
+    text = _JOIN_TEXT.get(engine.measure.name)
+    if np is None or text is None:
+        return cols
+    cols.np = np
+    cols.alpha = engine.alpha
+    cols.max_d = snap.maxD
+    cols.x = np.array([snap.xlo[s] for s in slots], dtype=np.float64)
+    cols.y = np.array([snap.ylo[s] for s in slots], dtype=np.float64)
+    cols.ref = np.array(refs, dtype=np.int64)
+    if engine.alpha == 1.0:
+        return cols
+    cols.reduction, stat_of, cols.form = text
+    vecs = [snap.obj_vec[s] for s in slots]
+    counts = [len(v) for v in vecs]
+    cols.stat = np.array([stat_of(v) for v in vecs], dtype=np.float64)
+    cols.doc_ptr = np.zeros(len(slots) + 1, dtype=np.int64)
+    np.cumsum(counts, out=cols.doc_ptr[1:])
+    cols.doc_row = np.repeat(np.arange(len(slots), dtype=np.int64), counts)
+    cols.doc_w = np.array(
+        [w for v in vecs for _t, w in v.items()], dtype=np.float64
+    )
+    terms, cols.doc_term = np.unique(
+        np.array([t for v in vecs for t in v.term_ids()], dtype=np.int64),
+        return_inverse=True,
+    )
+    post_len = np.bincount(cols.doc_term, minlength=len(terms))
+    cols.post_ptr = np.zeros(len(terms) + 1, dtype=np.int64)
+    np.cumsum(post_len, out=cols.post_ptr[1:])
+    order = np.argsort(cols.doc_term, kind="stable")
+    cols.post_col = cols.doc_row[order]
+    cols.post_w = cols.doc_w[order]
+    cols.work = np.bincount(
+        cols.doc_row, weights=post_len[cols.doc_term], minlength=len(slots)
+    ).astype(np.int64).tolist()
+    return cols
+
+
+def simst_block(cols: JoinColumns, lo: int, hi: int):
+    """``SimST`` of object columns ``lo..hi-1`` against every column.
+
+    Returns a ``(hi - lo) x n`` table — a numpy array, or nested lists
+    for the pure-python form — with ``-1.0`` wherever the two columns
+    are the same object (no competitor).  The pure-python form *is* the
+    scalar ``exact``; the numpy form evaluates the same closed formulas
+    vectorised (spatial ``alpha * clip(1 - d / maxD)`` by ``hypot``,
+    text from the shared-term reduction over term postings), so each
+    entry matches ``exact`` up to float rounding, not bit for bit.
+    """
+    np = cols.np
+    if np is None:
+        exact, slots, refs = cols.exact, cols.slots, cols.refs
+        return [
+            [
+                exact(a, b) if rb != ra else -1.0
+                for b, rb in zip(slots, refs)
+            ]
+            for a, ra in zip(slots[lo:hi], refs[lo:hi])
+        ]
+    alpha = cols.alpha
+    if alpha > 0.0:
+        value = np.hypot(
+            cols.x[lo:hi, None] - cols.x[None, :],
+            cols.y[lo:hi, None] - cols.y[None, :],
+        )
+        value /= cols.max_d
+        np.subtract(1.0, value, out=value)
+        np.clip(value, 0.0, 1.0, out=value)
+        value *= alpha
+    else:
+        value = np.zeros((hi - lo, len(cols.slots)))
+    if alpha < 1.0:
+        text = _text_block(cols, lo, hi)
+        text *= 1.0 - alpha
+        value += text
+    value[cols.ref[lo:hi, None] == cols.ref[None, :]] = -1.0
+    return value
+
+
+def _text_block(cols: JoinColumns, lo: int, hi: int):
+    """Text similarities of rows ``lo..hi-1`` against every column: one
+    ``bincount`` over the postings of the rows' terms."""
+    np = cols.np
+    n = len(cols.slots)
+    e0, e1 = cols.doc_ptr[lo], cols.doc_ptr[hi]
+    terms = cols.doc_term[e0:e1]
+    starts = cols.post_ptr[terms]
+    lens = cols.post_ptr[terms + 1] - starts
+    total = int(lens.sum())
+    if total == 0:
+        return np.zeros((hi - lo, n))
+    # Entry i of the concatenated postings reads post_*[gather[i]].
+    gather = np.arange(total) + np.repeat(
+        starts - (np.cumsum(lens) - lens), lens
+    )
+    flat = np.repeat(cols.doc_row[e0:e1] - lo, lens) * n
+    flat += cols.post_col[gather]
+    weights = None
+    if cols.reduction != "count":
+        row_w = np.repeat(cols.doc_w[e0:e1], lens)
+        col_w = cols.post_w[gather]
+        if cols.reduction == "dot":
+            weights = row_w * col_w
+        else:
+            weights = np.minimum(row_w, col_w)
+    acc = np.bincount(flat, weights=weights, minlength=(hi - lo) * n)
+    acc = acc.astype(np.float64).reshape(hi - lo, n)
+    sa = cols.stat[lo:hi, None]
+    sb = cols.stat[None, :]
+    if cols.form == "jaccard":
+        num, den = acc, sa + sb - acc
+    elif cols.form == "product":
+        num, den = acc, sa * sb
+    else:
+        num, den = 2.0 * acc, sa + sb
+    return np.divide(num, den, out=np.zeros_like(acc), where=acc > 0.0)
+
+
 def dot(a, b) -> float:
     """``Σ_t a[t] * b[t]`` over two same-backend frozen vectors."""
     return a.dot(b)

@@ -71,8 +71,9 @@ from .snapshot import IndexSnapshot, SnapshotTextMatrix
 #: 02 added the optional frozen kNNL sketch arrays; 03 added the
 #: per-sketch ``obj_profile`` / ``row_objects`` arrays; 04 dropped the
 #: curve and term-signature arrays and the build-knob metadata, leaving
-#: one sketch per similarity setting).
-SEGMENT_MAGIC = b"RSTSHM04"
+#: one sketch per similarity setting; 05 replaced the four per-sketch
+#: arrays with one ``floor`` table).
+SEGMENT_MAGIC = b"RSTSHM05"
 
 #: Common prefix of every segment version's magic; a segment whose
 #: magic carries this prefix but a different version byte pair was
@@ -298,29 +299,20 @@ class SharedSnapshotSegment:
 
         # Frozen kNNL sketches ride along so attached workers can serve
         # warm-floor and approx engines without re-running the
-        # freeze-time build: one array quartet per memoized sketch plus
-        # a header row carrying its key and scalar metadata.
+        # freeze-time build: one floor array per memoized sketch plus a
+        # header row carrying its key and scalar metadata.
         sketch_rows: List[Tuple] = []
         for key, sketch in snap._sketches.items():
             i = len(sketch_rows)
-            arrays[f"sk{i}_floor_idx"] = np.frombuffer(
-                memoryview(sketch.floor_idx), dtype=np.int64
-            )
-            arrays[f"sk{i}_floor_table"] = np.frombuffer(
-                memoryview(sketch.floor_table), dtype=np.float64
-            )
-            arrays[f"sk{i}_obj_profile"] = np.frombuffer(
-                memoryview(sketch.obj_profile), dtype=np.float64
-            )
-            arrays[f"sk{i}_row_objects"] = np.frombuffer(
-                memoryview(sketch.row_objects), dtype=np.int64
+            arrays[f"sk{i}_floor"] = np.frombuffer(
+                memoryview(sketch.floor), dtype=np.float64
             )
             sketch_rows.append(
                 (
                     key,
                     {
                         "kmax": sketch.kmax,
-                        "frontier": sketch.frontier,
+                        "global_row": sketch.global_row,
                         "build_seconds": sketch.build_seconds,
                     },
                 )
@@ -889,8 +881,8 @@ def attach(name: str, expected_generation: Optional[int] = None) -> AttachedInde
         if magic != SEGMENT_MAGIC:
             if magic.startswith(_MAGIC_PREFIX):
                 # Right family, wrong layout version: written by a
-                # different build (e.g. an RSTSHM03 parent feeding an
-                # RSTSHM04 worker).  Stale, not foreign — the remedy is
+                # different build (e.g. an RSTSHM04 parent feeding an
+                # RSTSHM05 worker).  Stale, not foreign — the remedy is
                 # re-exporting, same as a generation mismatch.
                 raise StaleSegmentError(
                     f"segment {name!r} has layout version {magic!r}, "
@@ -921,11 +913,8 @@ def attach(name: str, expected_generation: Optional[int] = None) -> AttachedInde
 
             snapshot._sketches[key] = KnnlSketch(
                 kmax=meta["kmax"],
-                frontier=meta["frontier"],
-                floor_idx=views.cast(f"sk{i}_floor_idx", "q"),
-                floor_table=views.cast(f"sk{i}_floor_table", "d"),
-                obj_profile=views.cast(f"sk{i}_obj_profile", "d"),
-                row_objects=views.cast(f"sk{i}_row_objects", "q"),
+                floor=views.cast(f"sk{i}_floor", "d"),
+                global_row=meta["global_row"],
                 build_seconds=meta["build_seconds"],
             )
         tree = _ShmStubTree(snapshot, header, views)

@@ -40,6 +40,7 @@ from array import array
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
+from ..obs.metrics import record_sketch_build
 from ..text.entropy import normalized_cluster_entropy
 from . import kernels
 
@@ -290,7 +291,7 @@ class IndexSnapshot:
             self._engines[key] = engine
         return engine
 
-    def sketch_for(self, engine, kmax: Optional[int] = None):
+    def sketch_for(self, engine, kmax: Optional[int] = None, metrics=None):
         """The memoized :class:`~repro.approx.sketch.KnnlSketch` of one
         exact engine's similarity setting (built on first request).
 
@@ -300,7 +301,9 @@ class IndexSnapshot:
         the key because shard admission asks for its own
         ``shard_kmax``.  An attached shared-memory snapshot
         pre-populates this table from the segment instead of
-        rebuilding.
+        rebuilding.  A build publishes ``sketch.builds`` and
+        ``sketch.build_seconds`` into ``metrics`` (a
+        :class:`~repro.obs.MetricsRegistry`, or ``None``).
         """
         # Looked up at call time so wrappers installed on the module
         # attribute (profilers, tracers) see every build.
@@ -313,15 +316,19 @@ class IndexSnapshot:
         if sketch is None:
             sketch = sketch_mod.build_sketch(engine, kmax=kmax)
             self._sketches[key] = sketch
+            record_sketch_build(metrics, sketch.build_seconds)
         return sketch
 
-    def warm_engine_for(self, tree, measure, alpha: float, te_weight: float):
+    def warm_engine_for(
+        self, tree, measure, alpha: float, te_weight: float, metrics=None
+    ):
         """A traversal engine seeded with frozen kNNL warm-start floors.
 
         Separate from :meth:`engine_for` (floor pruning changes decision
         *counters*, though never result ids, so the parity engine stays
         pristine) but sharing its pair-bound memo — work done by either
-        engine warms the other.
+        engine warms the other.  ``metrics`` receives the sketch build
+        (see :meth:`sketch_for`).
         """
         key = ("floors", measure.name, alpha, te_weight)
         engine = self._engines.get(key)
@@ -331,14 +338,14 @@ class IndexSnapshot:
             base = self.engine_for(tree, measure, alpha, te_weight)
             engine = SnapshotEngine(
                 tree, self, measure, alpha, te_weight,
-                floors=self.sketch_for(base),
+                floors=self.sketch_for(base, metrics=metrics),
             )
             engine._memo = base._memo
             self._engines[key] = engine
         return engine
 
     def warm_fused_engine_for(
-        self, tree, measure, alpha: float, te_weight: float
+        self, tree, measure, alpha: float, te_weight: float, metrics=None
     ):
         """The fused group engine with warm-start floors (see
         :meth:`warm_engine_for` for the memo-sharing contract)."""
@@ -350,7 +357,7 @@ class IndexSnapshot:
             base = self.engine_for(tree, measure, alpha, te_weight)
             engine = FusedBatchEngine(
                 tree, self, measure, alpha, te_weight,
-                floors=self.sketch_for(base),
+                floors=self.sketch_for(base, metrics=metrics),
             )
             self._engines[key] = engine
         return engine
@@ -362,12 +369,14 @@ class IndexSnapshot:
         alpha: float,
         te_weight: float,
         verify: bool = True,
+        metrics=None,
     ):
         """The memoized sketch-filter engine
         (:class:`~repro.approx.engine.ApproxEngine`) for one setting.
 
         ``verify`` picks verified (exact ids) or raw (conservative
         candidate set) mode; both modes read the same sketch.
+        ``metrics`` receives the sketch build (see :meth:`sketch_for`).
         """
         key = ("approx", measure.name, alpha, te_weight, verify)
         engine = self._engines.get(key)
@@ -377,7 +386,7 @@ class IndexSnapshot:
             base = self.engine_for(tree, measure, alpha, te_weight)
             engine = ApproxEngine(
                 tree, self, measure, alpha, te_weight,
-                self.sketch_for(base), verify=verify,
+                self.sketch_for(base, metrics=metrics), verify=verify,
             )
             self._engines[key] = engine
         return engine

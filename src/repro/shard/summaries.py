@@ -15,10 +15,9 @@ probes.)
 
 The pessimistic side is precomputed once per shard and similarity
 setting as :class:`ShardSummary`: a *frontier* of directory slots is
-peeled off the shard snapshot by the kNNL sketch's own peel
-(:func:`repro.approx.sketch._peel_frontier`: largest-count nodes first,
-so the frontier tracks the shard's real cluster structure), and for each
-frontier node ``f`` the engine's own root contribution template is
+peeled off the shard snapshot (:func:`_peel_frontier`: largest-count
+nodes first, so the frontier tracks the shard's real cluster
+structure), and for each frontier node ``f`` the engine's own root contribution template is
 evaluated — pairwise ``MinST(f, g)`` lower bounds against every other
 frontier node (weight ``cnt[g]``) plus the self term ``MinST(f, f)``
 (weight ``cnt[f] - 1``).  The weighted k-th largest of those lower
@@ -42,10 +41,10 @@ will reuse.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from ..approx.sketch import _peel_frontier
 from ..core.contributions import _kth_largest
 from .merge import ShardProbe
 
@@ -94,6 +93,44 @@ class ShardSummary:
         return 1 <= k <= len(self.knnl) and q_upper < self.knnl[k - 1]
 
 
+def _peel_frontier(snap, budget: int) -> List[int]:
+    """Largest-count-first antichain of up to ``budget`` slots.
+
+    Every object of the snapshot lies under exactly one returned slot,
+    which is what makes the per-frontier-node admission table complete.
+
+    Two refusal cases keep the peel *adaptive* instead of aborting: a
+    zero-fanout directory slot (a degenerate empty node) becomes its
+    own frontier node and the peel continues — it must not dump the
+    whole heap and leave the frontier far under budget — and a node
+    whose expansion would overflow the budget is likewise kept while
+    smaller nodes later in the heap may still be refined.
+    """
+    frontier: List[int] = []
+    heap: List[Tuple[int, int]] = []  # (-cnt, slot) for directory slots
+    for r in snap.root_slots:
+        if snap.is_obj[r]:
+            frontier.append(r)
+        else:
+            heapq.heappush(heap, (-snap.cnt[r], r))
+    while heap:
+        _neg_cnt, slot = heapq.heappop(heap)
+        children = range(snap.first_child[slot], snap.last_child[slot])
+        fanout = len(children)
+        if fanout == 0:
+            frontier.append(slot)
+            continue
+        if len(frontier) + len(heap) + fanout > budget:
+            frontier.append(slot)
+            continue
+        for c in children:
+            if snap.is_obj[c]:
+                frontier.append(c)
+            else:
+                heapq.heappush(heap, (-snap.cnt[c], c))
+    return frontier
+
+
 def build_summary(
     shard_id: int,
     engine,
@@ -115,10 +152,9 @@ def build_summary(
     lower-bounds the k-th best within-shard competitor of every object
     under ``f`` exactly like the pair-template bound does, so each
     node's contribution is the maximum of the two; globally,
-    ``sketch.global_floor(k)`` (which the sketch's per-object
-    k-distance profiles can sharpen above any node row) lower-bounds
-    every shard object, so the finished table entry takes that maximum
-    too.  Both combinations are sound — each side independently
+    ``sketch.global_floor(k)`` (the minimum exact ``s_k`` over the
+    shard's objects) lower-bounds every shard object, so the finished
+    table entry takes that maximum too.  Both combinations are sound — each side independently
     lower-bounds the same quantity — and possibly tighter.
     """
     snap = engine.snap

@@ -136,7 +136,7 @@ class TestFloorConservativeness:
         desc = sketch.describe()
         assert desc["kmax"] == SKETCH_KMAX
         assert desc["nbytes"] == sketch.nbytes() > 0
-        assert desc["frontier_size"] == len(sketch.frontier)
+        assert desc["slots"] == _cell(0.4)["snap"].n_slots
 
 
 # ----------------------------------------------------------------------
@@ -354,11 +354,8 @@ class TestShmSketchRoundTrip:
                 asnap.engine_for(attached.tree, measure, 0.5, 0.0)
             )
             assert isinstance(twin, KnnlSketch)
-            assert list(twin.floor_table) == list(parent.floor_table)
-            assert list(twin.floor_idx) == list(parent.floor_idx)
-            assert list(twin.obj_profile) == list(parent.obj_profile)
-            assert list(twin.row_objects) == list(parent.row_objects)
-            assert twin.frontier == parent.frontier
+            assert list(twin.floor) == list(parent.floor)
+            assert twin.global_row == parent.global_row
             # And the attached searcher answers identically in approx
             # mode against the parent's exact engine.
             remote = attached.searcher(
@@ -389,7 +386,7 @@ class TestShmSketchRoundTrip:
             # A segment written by a previous layout version (same
             # RSTSHM family, older version byte pair) is *stale*, not
             # foreign: the remedy is re-exporting with this build.
-            seg.shm.buf[: len(SEGMENT_MAGIC)] = b"RSTSHM03"
+            seg.shm.buf[: len(SEGMENT_MAGIC)] = b"RSTSHM04"
             with pytest.raises(StaleSegmentError):
                 attach(seg.name)
             # Arbitrary bytes are a foreign (non-snapshot) segment.
@@ -428,7 +425,7 @@ class TestBuildEdges:
 
 
 class _StubSnap:
-    """Minimal snapshot shape shared by both frontier peels.
+    """Minimal snapshot shape for the shard admission frontier peel.
 
     Slot 0 is the root directory; slot 1 is a *degenerate empty*
     directory node (no children) given an inflated count so the
@@ -453,20 +450,21 @@ class TestAdaptivePeel:
         assert sorted(frontier) == [1, 2, 4, 5]
 
     def test_sketch_peel_continues_past_empty_node(self):
-        from repro.approx.sketch import _peel_frontier
-
-        self._check(_peel_frontier)
-
-    def test_shard_peel_continues_past_empty_node(self):
         from repro.approx import sketch
         from repro.shard.summaries import _peel_frontier
 
-        # One peel serves the sketch rows and the shard admission tables.
-        assert _peel_frontier is sketch._peel_frontier
+        # The sketch no longer peels a frontier: the shard admission
+        # tables are the peel's only caller.
+        assert not hasattr(sketch, "_peel_frontier")
+        self._check(_peel_frontier)
+
+    def test_shard_peel_continues_past_empty_node(self):
+        from repro.shard.summaries import _peel_frontier
+
         self._check(_peel_frontier)
 
     def test_overflowing_node_is_kept_while_smaller_nodes_refine(self):
-        from repro.approx.sketch import _peel_frontier
+        from repro.shard.summaries import _peel_frontier
 
         # Budget 4: expanding root yields [2] + heap {1, 3}.  Slot 1
         # (empty) becomes a row; slot 3's expansion fits (2 + 0 + 2 =
@@ -508,9 +506,9 @@ class TestCurveSampling:
                     assert sketch.obj_floor(a, k) <= s_k + 1e-12
 
     def test_true_pass_profile_equals_brute_force_sk(self):
-        # On a small corpus the true-kNN walk finishes well inside its
-        # pop cap, so every profile entry is the exact s_k, and the
-        # object floor (max of row floor and profile) is exactly s_k.
+        # The block join rescores with the engine's own _exact until no
+        # unrescored column can matter, so every object row of the floor
+        # table is exactly the brute-force s_k — no tolerance, no cap.
         for alpha in _ALPHAS:
             cell = _cell(alpha)
             sketch = cell["sketch"]
@@ -519,8 +517,135 @@ class TestCurveSampling:
                 sims = cell["brute"][slot]
                 for k in range(1, kmax + 1):
                     s_k = sims[k - 1] if len(sims) >= k else 0.0
-                    prof = sketch.obj_profile[slot * kmax + (k - 1)]
-                    assert prof == pytest.approx(s_k, abs=1e-12)
-                    assert sketch.obj_floor(slot, k) == pytest.approx(
-                        s_k, abs=1e-12
-                    )
+                    assert sketch.floor[slot * kmax + (k - 1)] == s_k
+                    assert sketch.obj_floor(slot, k) == s_k
+
+
+# ----------------------------------------------------------------------
+# Exact profiles on adversarial corpora (hypothesis)
+# ----------------------------------------------------------------------
+
+_MEASURES = ("extended_jaccard", "cosine", "dice", "overlap", "weighted_jaccard")
+_WORDS = ("coffee", "tea", "cake", "bread", "wine")
+
+# A 3x3 grid of locations and a five-word vocabulary: duplicate
+# locations, identical documents and (min_size=0) empty documents all
+# turn up; n runs from one object to past kmax + 8, where the numpy
+# join ranks only part of each row and exact ties force a full sort.
+_record = st.tuples(
+    st.sampled_from((0.0, 1.0, 4.0)),
+    st.sampled_from((0.0, 2.0, 3.0)),
+    st.lists(st.sampled_from(_WORDS), max_size=3).map(" ".join),
+)
+_records = st.integers(1, 40).flatmap(
+    lambda n: st.lists(_record, min_size=n, max_size=n)
+)
+
+
+def _tiny(records, measure: str):
+    from repro import IndexConfig, STDataset
+    from repro.spatial import Point
+
+    dataset = STDataset.from_corpus(
+        [(Point(x, y), t) for x, y, t in records],
+        SimilarityConfig(text_measure=measure),
+    )
+    tree = IURTree.build(dataset, IndexConfig(max_entries=4, min_entries=2))
+    return dataset, tree
+
+
+def _check_exact_sketch(snap, engine, sketch):
+    kmax = sketch.kmax
+    objs = [s for s in range(snap.n_slots) if snap.is_obj[s]]
+    ref = snap.ref
+    sk = {}
+    for a in objs:
+        sims = sorted(
+            (engine._exact(a, b) for b in objs if ref[b] != ref[a]),
+            reverse=True,
+        )
+        sims = (sims + [0.0] * kmax)[:kmax]
+        sk[a] = sims
+        assert [sketch.obj_floor(a, k) for k in range(1, kmax + 1)] == sims
+
+    def under(slot):
+        if snap.is_obj[slot]:
+            return [slot]
+        out = []
+        for c in range(snap.first_child[slot], snap.last_child[slot]):
+            out.extend(under(c))
+        return out
+
+    for slot in range(snap.n_slots):
+        members = under(slot)
+        if snap.is_obj[slot] or not members:
+            continue
+        for k in range(1, kmax + 1):
+            assert sketch.node_floor(slot, k) == min(sk[a][k - 1] for a in members)
+    for k in range(1, kmax + 1):
+        assert sketch.global_floor(k) == min(sk[a][k - 1] for a in objs)
+
+
+class TestExactProfiles:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        records=_records,
+        measure=st.sampled_from(_MEASURES),
+        alpha=st.sampled_from((0.0, 0.3, 1.0)),
+        numpy_kernel=st.booleans(),
+    )
+    def test_floors_equal_brute_force_sk(
+        self, records, measure, alpha, numpy_kernel
+    ):
+        from unittest import mock
+
+        from repro.perf import kernels
+
+        if numpy_kernel and not kernels.numpy_available():
+            numpy_kernel = False
+        _dataset, tree = _tiny(records, measure)
+        snap = tree.snapshot()
+        engine = snap.engine_for(tree, make_measure(measure), alpha, 0.0)
+        if numpy_kernel:
+            sketch = build_sketch(engine)
+        else:
+            with mock.patch.object(kernels, "_numpy", lambda: None):
+                sketch = build_sketch(engine)
+        _check_exact_sketch(snap, engine, sketch)
+
+    def test_tie_runs_past_the_ranked_prefix(self):
+        # 40 copies of one object plus two others: every row ties far
+        # past the kmax + 8 columns the numpy join ranks first, so the
+        # rescoring must fall back to the whole row and stay exact.
+        records = [(1.0, 2.0, "coffee tea")] * 40
+        records += [(4.0, 0.0, "wine"), (0.0, 3.0, "")]
+        _dataset, tree = _tiny(records, "extended_jaccard")
+        snap = tree.snapshot()
+        for alpha in (0.0, 0.3, 1.0):
+            engine = snap.engine_for(
+                tree, make_measure("extended_jaccard"), alpha, 0.0
+            )
+            _check_exact_sketch(snap, engine, build_sketch(engine))
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        records=_records,
+        measure=st.sampled_from(_MEASURES),
+        alpha=st.sampled_from((0.0, 0.3, 1.0)),
+        qx=st.sampled_from((0.0, 1.0, 2.5)),
+        qtext=st.lists(st.sampled_from(_WORDS), max_size=3).map(" ".join),
+    )
+    def test_raw_ids_equal_exact_ids_up_to_kmax(
+        self, records, measure, alpha, qx, qtext
+    ):
+        from repro.spatial import Point
+
+        dataset, tree = _tiny(records, measure)
+        config = SimilarityConfig(alpha=alpha, text_measure=measure)
+        exact = RSTkNNSearcher(tree, config=config, engine="snapshot")
+        raw = RSTkNNSearcher(
+            tree, config=config, engine="approx", approx_verify=False
+        )
+        query = dataset.make_query(Point(qx, 2.0), qtext)
+        for k in range(1, SKETCH_KMAX + 1):
+            assert raw.search(query, k).ids == exact.search(query, k).ids

@@ -42,6 +42,7 @@ from repro.obs.metrics import (
     latency_percentiles,
     record_approx,
     record_search,
+    record_sketch_build,
 )
 from repro.perf.batch import BatchSearcher
 from repro.workloads import sample_queries
@@ -445,3 +446,37 @@ class TestRecordApprox:
         snap = reg.snapshot()
         assert snap["counters"]["search.queries.approx"] == 1
         assert "approx.candidates" in snap["counters"]
+
+
+class TestRecordSketchBuild:
+    def test_noop_on_null_and_none(self):
+        record_sketch_build(None, 1.5)
+        record_sketch_build(NULL_REGISTRY, 1.5)
+
+    def test_first_approx_search_publishes_one_build(self):
+        # A fresh tree: the first approx query builds the sketch, later
+        # queries (and the raw-mode engine) reuse it.
+        dataset = STDataset.from_corpus(random_corpus(60, seed=23))
+        tree = IURTree.build(dataset)
+        reg = MetricsRegistry()
+        queries = sample_queries(dataset, 2, seed=5)
+        for verify in (True, False):
+            searcher = RSTkNNSearcher(
+                tree, engine="approx", approx_verify=verify, metrics=reg
+            )
+            for q in queries:
+                searcher.search(q, 3)
+        snap = reg.snapshot()
+        assert snap["counters"]["sketch.builds"] == 1
+        sketch = next(iter(tree.snapshot()._sketches.values()))
+        assert snap["gauges"]["sketch.build_seconds"] == sketch.build_seconds
+
+    def test_warm_floor_searcher_publishes_the_build(self):
+        dataset = STDataset.from_corpus(random_corpus(60, seed=29))
+        tree = IURTree.build(dataset)
+        reg = MetricsRegistry()
+        searcher = RSTkNNSearcher(
+            tree, engine="snapshot", warm_floors=True, metrics=reg
+        )
+        searcher.search(sample_queries(dataset, 1, seed=7)[0], 3)
+        assert reg.snapshot()["counters"]["sketch.builds"] == 1
