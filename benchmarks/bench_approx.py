@@ -1,42 +1,30 @@
-"""Approx-tier benchmark: frozen kNNL floors + the sketch-filter engine.
+"""Approx-tier benchmark: exact kNNL profiles and the one profile engine.
 
 Runs the E3-style single-query workload (gn-like dataset, sampled
-queries) through four tiers of
+queries) through two tiers of
 :class:`repro.core.rstknn.RSTkNNSearcher` over a ``k x alpha`` sweep —
 
 * ``snapshot`` — the exact columnar engine (the parity reference);
-* ``warm`` — the same engine seeded with frozen kNNL warm-start floors
-  (``warm_floors=True``): **bit-identical ids by construction**, only
-  pruning gets earlier;
-* ``approx verified`` — ``engine="approx", verify=True``: the sketch
-  filter generates a conservative candidate superset, every survivor is
-  verified exactly (**byte-identical ids**);
-* ``approx raw`` — ``engine="approx", verify=False``: the raw filter
-  output, with recall/precision measured against the exact reference —
+* ``approx`` — ``engine="approx"``, the exact profile engine: for
+  ``k <= kmax`` the sketch's exact ``s_k`` floors decide membership
+  with no probe, above ``kmax`` every object is probed —
 
-and writes ``BENCH_approx.json`` with QPS, speedups, recall/precision,
-the sketch build cost (time and bytes, also under
-``report["phases"]``), and the filter counters.
+and writes ``BENCH_approx.json`` with QPS, speedups, the sketch build
+cost (time and bytes, also under ``report["phases"]``), and the filter
+counters.
 
-**Six hard gates** (the run exits non-zero on any failure):
+**Four hard gates** (the run exits non-zero on any failure):
 
-1. warm floors and verified approx must return ids identical to the
-   exact snapshot engine in every cell — always armed, ``--quick``
-   included;
-2. raw-filter recall must be exactly 1.0 in every cell — always armed
-   (the conservative sketch guarantees it by construction, so any dip
-   is a soundness bug, not a tuning miss);
-3. raw-filter ids must equal the exact ids in every cell with
-   ``k <= kmax`` — always armed (the sketch stores each object's exact
-   ``s_k``, so the raw filter *is* the membership test there);
-4. every object row of every sketch must equal its brute-force
+1. approx must return ids identical to the snapshot engine in every
+   cell, and the sweep must hold at least one ``k > kmax`` cell (the
+   probe path) — always armed, ``--quick`` included;
+2. no membership probe may run in a ``k <= kmax`` cell (the floors
+   alone decide there) — always armed;
+3. every object row of every sketch must equal its brute-force
    ``s_k`` (all pairs through the engine's ``_exact``) — armed below
    ``n = 50_000``, where the quadratic check is affordable;
-5. warm-floor single-query QPS must be >= 1.2x the snapshot engine in
-   the headline cell — armed at ``n >= 50_000`` (floors only matter
-   once contribution lists dominate);
-6. verified-mode QPS must be strictly above the first sketch's baseline
-   in every baselined cell — armed at ``n >= 50_000``.
+4. approx QPS must be strictly above the first sketch's verified-mode
+   baseline in every baselined cell — armed at ``n >= 50_000``.
 
 Usage::
 
@@ -50,7 +38,7 @@ import argparse
 import heapq
 import json
 import sys
-from typing import Dict, List
+from typing import Dict
 
 from repro.approx.sketch import SKETCH_KMAX
 from repro.bench.gates import ids_gate, median_qps, report_header, timed
@@ -61,18 +49,13 @@ from repro.obs import MetricsRegistry
 from repro.perf import kernels
 from repro.workloads import gn_like, sample_queries
 
-#: The warm-floor QPS gate only arms at scale — below this, walks are
-#: too short for freeze-time floors to beat their own bookkeeping.
+#: The QPS baseline gate arms at this size; the quadratic profile
+#: exactness check runs below it.
 GATE_N = 50_000
-WARM_SPEEDUP_GATE = 1.2
-
-#: The conservative sketch guarantees recall 1.0 by construction, so
-#: the gate is exact: anything below is a soundness bug.
-RECALL_GATE = 1.0
 
 #: Verified-mode QPS at n=100_000 of the first sketch (node-floor rows
 #: plus per-object curves fitted to layout-window samples, since
-#: replaced); the exact profiles must strictly improve every
+#: replaced); the exact profile engine must strictly improve every
 #: baselined cell.
 _BASELINE_VERIFIED_QPS = {
     (4, 0.3): 1.01185,
@@ -100,24 +83,6 @@ def profile_mismatches(engine, sketch) -> int:
     return bad
 
 
-def recall_precision(
-    reference: List[List[int]], got: List[List[int]]
-) -> Dict[str, float]:
-    """Micro-averaged recall/precision of ``got`` against ``reference``."""
-    hits = ref_total = got_total = 0
-    for ref_ids, got_ids in zip(reference, got):
-        ref_set = set(ref_ids)
-        hits += sum(1 for i in got_ids if i in ref_set)
-        ref_total += len(ref_ids)
-        got_total += len(got_ids)
-    return {
-        "recall": hits / ref_total if ref_total else 1.0,
-        "precision": hits / got_total if got_total else 1.0,
-        "reference_results": ref_total,
-        "returned_results": got_total,
-    }
-
-
 def bench_cell(
     tree,
     queries,
@@ -129,59 +94,33 @@ def bench_cell(
     """Gates + QPS for one ``(k, alpha)`` cell of the sweep."""
     config = SimilarityConfig(alpha=alpha)
     base = RSTkNNSearcher(tree, config=config, engine="snapshot")
-    warm = RSTkNNSearcher(
-        tree, config=config, engine="snapshot", warm_floors=True
-    )
-    verified = RSTkNNSearcher(
-        tree, config=config, engine="approx", approx_verify=True
-    )
-    raw = RSTkNNSearcher(
-        tree,
-        config=config,
-        engine="approx",
-        approx_verify=False,
-        metrics=metrics,
+    approx = RSTkNNSearcher(
+        tree, config=config, engine="approx", metrics=metrics
     )
     label = f"k={k} alpha={alpha}"
 
-    # Hard gates first (also warms every engine, sketch, and memo).
+    # Hard gates first (also warms both engines, the sketch, and memo).
+    # Per-cell counters are deltas: the memoized engine's own counters
+    # are cumulative across cells.
+    engine = tree.snapshot().approx_engine_for(
+        tree, approx.measure, approx.alpha, approx.te_weight
+    )
+    before = dict(engine.counters)
     reference = [base.search(q, k).ids for q in queries]
     ids_gate(
         reference,
-        [warm.search(q, k).ids for q in queries],
-        f"warm floors vs snapshot, {label}",
+        [approx.search(q, k).ids for q in queries],
+        f"approx vs snapshot, {label}",
     )
-    ids_gate(
-        reference,
-        [verified.search(q, k).ids for q in queries],
-        f"approx verify=True vs snapshot, {label}",
-    )
-
-    # Per-cell candidate-flow counters: delta around the quality pass
-    # (the engine's own counters are cumulative across cells).
-    snap = tree.snapshot()
-    raw_engine = snap.approx_engine_for(
-        tree, raw.measure, raw.alpha, raw.te_weight, verify=False
-    )
-    before = dict(raw_engine.counters)
-    raw_ids = [raw.search(q, k).ids for q in queries]
-    quality = recall_precision(reference, raw_ids)
     flow = {
-        key: raw_engine.counters[key] - before.get(key, 0)
-        for key in ("candidates", "answers")
+        key: engine.counters[key] - before.get(key, 0)
+        for key in ("candidates", "verified", "answers")
     }
-    if quality["recall"] < RECALL_GATE:
+    if k <= SKETCH_KMAX and flow["verified"]:
         raise SystemExit(
-            f"recall gate FAILED ({label}): "
-            f"{quality['recall']:.4f} < {RECALL_GATE}"
+            f"no-probe gate FAILED ({label}): {flow['verified']} "
+            f"membership probes ran at k <= kmax = {SKETCH_KMAX}"
         )
-    if k <= SKETCH_KMAX and raw_ids != reference:
-        raise SystemExit(
-            f"raw == exact gate FAILED ({label}): the raw filter kept "
-            f"{quality['returned_results']} ids, exact answers "
-            f"{quality['reference_results']}"
-        )
-    metrics.gauge("approx.recall").set(quality["recall"])
 
     n = len(queries)
 
@@ -193,37 +132,21 @@ def bench_cell(
         return median_qps(timed(run), n, rounds)
 
     snapshot_qps = sweep(base)
-    warm_qps = sweep(warm)
-    verified_qps = sweep(verified)
-    raw_qps = sweep(raw)
-
-    # The memoized filter engine exposes its cumulative counters.
-    filter_counters = dict(raw_engine.counters)
+    approx_qps = sweep(approx)
 
     return {
         "k": k,
         "alpha": alpha,
         "queries": n,
         "parity": "ok",
-        "recall": quality["recall"],
-        "precision": quality["precision"],
-        "reference_results": quality["reference_results"],
-        "returned_results": quality["returned_results"],
+        "results_per_query": sum(len(ids) for ids in reference) / n,
         "candidates_per_query": flow["candidates"] / n,
+        "probes_per_query": flow["verified"] / n,
         "answers_per_query": flow["answers"] / n,
-        "candidate_precision": (
-            flow["answers"] / flow["candidates"]
-            if flow["candidates"]
-            else 1.0
-        ),
         "snapshot_qps": snapshot_qps,
-        "warm_floors_qps": warm_qps,
-        "approx_verified_qps": verified_qps,
-        "approx_raw_qps": raw_qps,
-        "speedup_warm_vs_snapshot": warm_qps / snapshot_qps,
-        "speedup_verified_vs_snapshot": verified_qps / snapshot_qps,
-        "speedup_raw_vs_snapshot": raw_qps / snapshot_qps,
-        "filter_counters": filter_counters,
+        "approx_qps": approx_qps,
+        "speedup_approx_vs_snapshot": approx_qps / snapshot_qps,
+        "filter_counters": dict(engine.counters),
     }
 
 
@@ -232,7 +155,11 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true", help="CI-sized run")
     parser.add_argument("--n", type=int, default=None, help="dataset size")
     parser.add_argument(
-        "--k", type=int, nargs="+", default=None, help="k sweep values"
+        "--k",
+        type=int,
+        nargs="+",
+        default=None,
+        help="k sweep values (at least one must exceed the sketch kmax)",
     )
     parser.add_argument(
         "--alpha",
@@ -254,7 +181,17 @@ def main(argv=None) -> int:
     kernels.set_backend(args.backend)
 
     n = args.n if args.n is not None else (400 if args.quick else 100_000)
-    ks = args.k if args.k is not None else ([4] if args.quick else [4, 8])
+    probe_k = SKETCH_KMAX + 4
+    ks = (
+        args.k
+        if args.k is not None
+        else ([4, probe_k] if args.quick else [4, 8, probe_k])
+    )
+    if not any(k > SKETCH_KMAX for k in ks):
+        raise SystemExit(
+            f"sweep gate FAILED: no k > kmax = {SKETCH_KMAX} cell in {ks}; "
+            "the probe path would go unchecked"
+        )
     alphas = (
         args.alpha
         if args.alpha is not None
@@ -306,39 +243,26 @@ def main(argv=None) -> int:
             for alpha in alphas
         ]
 
-    headline = cells[0]
-    if gate_armed and (
-        headline["speedup_warm_vs_snapshot"] < WARM_SPEEDUP_GATE
-    ):
-        raise SystemExit(
-            f"warm-floor QPS gate FAILED (k={headline['k']} "
-            f"alpha={headline['alpha']}): "
-            f"{headline['speedup_warm_vs_snapshot']:.3f}x < "
-            f"{WARM_SPEEDUP_GATE}x at n={n}"
-        )
-
-    # Verified-QPS gate against the first sketch's baseline at scale.
+    # Approx QPS gate against the first sketch's baseline at scale.
     for cell in cells:
         key = (cell["k"], cell["alpha"])
         qps_floor = _BASELINE_VERIFIED_QPS.get(key)
         if gate_armed and qps_floor is not None and (
-            cell["approx_verified_qps"] <= qps_floor
+            cell["approx_qps"] <= qps_floor
         ):
             raise SystemExit(
-                f"verified-QPS gate FAILED (k={key[0]} alpha={key[1]}): "
-                f"{cell['approx_verified_qps']:.3f} <= baseline "
-                f"{qps_floor:.3f}"
+                f"approx-QPS gate FAILED (k={key[0]} alpha={key[1]}): "
+                f"{cell['approx_qps']:.3f} <= baseline {qps_floor:.3f}"
             )
 
     report = report_header(n, args.quick, timer=timer, snapshot=snapshot)
     report["gates"] = {
         "parity": "ok",
-        "recall_gate": RECALL_GATE,
-        "warm_speedup_gate": WARM_SPEEDUP_GATE,
-        "warm_speedup_gate_armed": gate_armed,
-        "warm_speedup_gate_n": GATE_N,
-        "raw_equals_exact_kmax": SKETCH_KMAX,
+        "no_probe_kmax": SKETCH_KMAX,
+        "probe_cells": sum(1 for c in cells if c["k"] > SKETCH_KMAX),
         "profile_exactness_gate_armed": not gate_armed,
+        "qps_baseline_gate_armed": gate_armed,
+        "qps_baseline_gate_n": GATE_N,
         "verified_qps_baseline": {
             f"{k},{a}": v
             for (k, a), v in _BASELINE_VERIFIED_QPS.items()
@@ -352,13 +276,12 @@ def main(argv=None) -> int:
         json.dump(report, fh, indent=2)
     print(json.dumps(report, indent=2))
     print(f"\nwrote {args.out}")
-    print(
-        f"headline (k={headline['k']} alpha={headline['alpha']}): "
-        f"warm floors {headline['speedup_warm_vs_snapshot']:.2f}x, "
-        f"approx raw {headline['speedup_raw_vs_snapshot']:.2f}x vs "
-        f"snapshot; recall {headline['recall']:.4f}, "
-        f"precision {headline['precision']:.4f}"
-    )
+    for cell in cells:
+        print(
+            f"k={cell['k']} alpha={cell['alpha']}: approx "
+            f"{cell['speedup_approx_vs_snapshot']:.2f}x vs snapshot, "
+            f"{cell['probes_per_query']:.0f} probes/query"
+        )
     return 0
 
 

@@ -1,7 +1,8 @@
 """Frozen k-distance sketches and the ``engine="approx"`` tier.
 
 See :mod:`repro.approx.sketch` for the freeze-time kNNL floor builder
-and :mod:`repro.approx.engine` for the sketch-filtered search engine.
+and :mod:`repro.approx.engine` for the exact profile engine that
+answers from it.
 """
 
 from .engine import ApproxEngine

@@ -1,27 +1,25 @@
-"""The ``engine="approx"`` tier: sketch-filtered RSTkNN search.
+"""The ``engine="approx"`` tier: the exact kNNL profile engine.
 
-:class:`ApproxEngine` answers reverse spatial–textual k-NN queries by
-*filtering* against a frozen :class:`~repro.approx.sketch.KnnlSketch`
-instead of maintaining per-entry contribution lists: a depth-first walk
-compares the query's optimistic similarity against each subtree's
-conservative kNNL floor and descends only where the query could still
-be within some object's top-k.  Surviving objects are the candidate
-set — provably a *superset* of the exact answer, because a pruned slot
-satisfies ``q_hi < floor <= s_k(o)`` for every object ``o`` under it
-(at least ``k`` competitors strictly beat the query there).
+:class:`ApproxEngine` answers reverse spatial–textual k-NN queries from
+a frozen :class:`~repro.approx.sketch.KnnlSketch` instead of
+maintaining per-entry contribution lists.  Every sketch row is an
+object's exact ``s_k`` (its k-th largest ``SimST`` to any other
+object), so the paper's answer ``{p : SimST(q, p) >= s_k(p)}`` is one
+comparison per object.  A depth-first walk compares the query's
+optimistic similarity against each subtree's minimum ``s_k`` and
+descends only where some object could still admit the query:
 
-Two modes:
+* ``k <= sketch.kmax``: the surviving objects *are* the answer — each
+  passed ``SimST(q, p) >= s_k(p)`` — so no membership probe runs.
+* ``k > sketch.kmax``: every floor reads 0.0 and nothing is pruned;
+  every object runs the snapshot engine's exact membership probe
+  (:meth:`~repro.core.traversal.SnapshotEngine._verify`).  That is
+  ``n`` probes per query, so it beats the snapshot walk on small
+  corpora only (measurements in ``docs/TUNING.md``).
 
-* ``verify=True`` (default): every candidate runs the snapshot
-  engine's exact membership probe
-  (:meth:`~repro.core.traversal.SnapshotEngine._verify`), so the result
-  ids are byte-identical to the exact engines — the sketch only
-  replaces candidate *generation*, never the decision.
-* ``verify=False``: the raw filter output is returned.  Because the
-  filter is conservative the output contains every exact answer
-  (recall 1.0 by construction); precision is whatever the sketch
-  earns, and :mod:`benchmarks.bench_approx` measures both against
-  exact ground truth.
+Either way the ids are byte-identical to the exact engines.  The name
+``approx`` is historical: the tier began as a filter with measured
+recall and precision.
 
 Node bounds are staged: a spatial-only optimistic bound (text
 similarity capped at 1) is tried first and the blended text upper bound
@@ -50,13 +48,13 @@ from .sketch import KnnlSketch
 
 
 class ApproxEngine:
-    """Sketch-filtered search over one snapshot (see module docstring).
+    """Exact profile search over one snapshot (see module docstring).
 
-    One engine exists per ``(measure, alpha, te_weight, verify)``
-    setting of a snapshot (see
+    One engine exists per ``(measure, alpha, te_weight)`` setting of a
+    snapshot (see
     :meth:`~repro.perf.snapshot.IndexSnapshot.approx_engine_for`); it
     shares the exact snapshot engine's memoized pair-bound table
-    through :attr:`base`, so verification work warms the exact paths
+    through :attr:`base`, so probes above ``kmax`` warm the exact paths
     and vice versa.
     """
 
@@ -68,7 +66,6 @@ class ApproxEngine:
         alpha: float,
         te_weight: float,
         sketch: KnnlSketch,
-        verify: bool = True,
     ) -> None:
         self.tree = tree
         self.snap = snap
@@ -76,7 +73,6 @@ class ApproxEngine:
         self.alpha = alpha
         self.te_weight = te_weight
         self.sketch = sketch
-        self.verify = verify
         self.base = snap.engine_for(tree, measure, alpha, te_weight)
         self._ej = isinstance(measure, ExtendedJaccard)
         #: Cumulative filter counters since engine creation; published
@@ -101,7 +97,7 @@ class ApproxEngine:
         trace: Optional[object] = None,
         cancel: Optional[object] = None,
     ) -> SearchResult:
-        """One sketch-filtered RSTkNN query (see module docstring).
+        """One exact RSTkNN query from the profiles (see module docstring).
 
         ``cancel`` is polled at start and per node expansion, the same
         protocol as the exact engines; ``trace`` is accepted but
@@ -222,21 +218,21 @@ class ApproxEngine:
             stats.expansions += 1
             stack.extend(range(snap.first_child[slot], snap.last_child[slot]))
 
-        ids: List[int] = []
-        if self.verify:
-            for slot, sim in candidates:
-                member = base._verify(slot, sim, k, stats)
-                stats.verified_objects += 1
-                if member:
-                    ids.append(ref[slot])
-        else:
+        if use_floors:
             ids = [ref[slot] for slot, _sim in candidates]
+            n_verified = 0
+        else:
+            ids = []
+            for slot, sim in candidates:
+                if base._verify(slot, sim, k, stats):
+                    ids.append(ref[slot])
+            n_verified = len(candidates)
+            stats.verified_objects += n_verified
         ids.sort()
 
         counters["nodes_pruned"] += nodes_pruned
         counters["objects_pruned"] += objects_pruned
         counters["spatial_shortcuts"] += spatial_shortcuts
-        n_verified = len(candidates) if self.verify else 0
         counters["candidates"] += len(candidates)
         counters["verified"] += n_verified
         counters["answers"] += len(ids)

@@ -28,12 +28,10 @@ exact top-``kmax`` multiset of ``_exact`` values.  Only ``_exact``
 values are stored, never a kernel float, and soundness never rests on
 the margin: the k-th largest of any rescored subset is ``<= s_k``.
 
-The floors feed three consumers: warm-start pruning in the exact
-engines (:class:`~repro.core.traversal.SnapshotEngine` /
-:class:`~repro.core.fused.FusedBatchEngine`, results bit-identical
-because a pruned slot provably holds no result), tightened
-:class:`~repro.shard.summaries.ShardSummary` admission floors, and the
-``engine="approx"`` filter tier (:class:`~repro.approx.engine.ApproxEngine`).
+The floors feed two consumers: the ``engine="approx"`` profile engine
+(:class:`~repro.approx.engine.ApproxEngine`), whose object rows decide
+membership outright for ``k <= kmax``, and the tightened
+:class:`~repro.shard.summaries.ShardSummary` admission floors.
 
 Soundness rule (used by every consumer): a query with upper bound
 ``q_hi`` on a slot may skip that slot iff ``q_hi < floor`` — then for

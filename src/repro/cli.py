@@ -152,8 +152,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         mode=args.mode,
         group_size=args.group_size,
         share=args.share,
-        warm_floors=True if args.warm_floors else None,
-        approx_verify=not args.approx_raw,
     )
     live_rows = []
     if live is not None and args.writes:
@@ -217,9 +215,9 @@ def _service_chain(engine: str):
     ``auto``/``fused`` keep the full chain; ``snapshot`` and ``seed``
     start the chain at that engine (later hops remain available — every
     chain engine is parity-identical, so this only pins the first
-    attempt, never the answer).  ``approx`` prepends the sketch-guided
-    filter to the full chain: the service runs it with exact
-    verification, so its answers match the others bit for bit.
+    attempt, never the answer).  ``approx`` prepends the exact kNNL
+    profile engine to the full chain; its answers match the others bit
+    for bit.
     """
     from .service import DEGRADATION_CHAIN
 
@@ -665,19 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("seed", "snapshot", "auto", "approx"),
         default=None,
         help="traversal engine (default: REPRO_ENGINE, then auto); "
-        "approx runs the sketch-guided filter of repro.approx",
-    )
-    p_batch.add_argument(
-        "--warm-floors",
-        action="store_true",
-        help="arm frozen kNNL floors on exact snapshot/fused walks "
-        "(bit-identical results, earlier pruning; also REPRO_WARM_FLOORS)",
-    )
-    p_batch.add_argument(
-        "--approx-raw",
-        action="store_true",
-        help="with --engine approx: skip exact verification and return "
-        "the raw conservative candidate set (a superset of the answer)",
+        "approx runs the exact kNNL profile engine of repro.approx",
     )
     p_batch.add_argument(
         "--mode",
@@ -738,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="first engine of the degradation chain (auto = full "
         "fused -> snapshot -> seed chain; approx prepends the "
-        "verified sketch filter)",
+        "exact kNNL profile engine)",
     )
     p_serve.add_argument(
         "--alpha",

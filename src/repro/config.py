@@ -198,18 +198,11 @@ class PerfConfig:
         shard_kmax: Largest ``k`` the per-shard admission-pruning
             tables cover — queries with bigger ``k`` scatter to every
             shard (still exact, just unpruned).
-        warm_floors: Seed the exact engines (snapshot/fused, and the
-            shard admission summaries) with the frozen kNNL floors of
-            :mod:`repro.approx` — result ids are unchanged by
-            construction, subtrees and candidates below the floor are
-            pruned before any contribution-list work.  The
-            ``REPRO_WARM_FLOORS`` environment variable overrides the
-            library default at process level.
-        approx_verify: When ``engine="approx"``, route every
-            sketch-surviving candidate through the exact verification
-            probe (byte-identical results).  ``False`` returns the raw
-            conservative filter output (recall 1.0 by construction,
-            measured precision; see ``docs/TUNING.md``).
+        warm_floors: Tighten the shard admission tables
+            (:class:`repro.shard.ScatterGatherSearcher`) with each
+            shard's frozen kNNL floors from :mod:`repro.approx`.  Its
+            only consumer is sharded search; admission stays exact, it
+            just skips more shards.
         live_updates: Wrap the serving tree in a
             :class:`repro.lsm.LiveIndex` at construction time
             (``from_perf_config`` paths and the CLI): inserts and
@@ -242,7 +235,6 @@ class PerfConfig:
     shard_count: int = 1
     shard_kmax: int = 16
     warm_floors: bool = False
-    approx_verify: bool = True
     live_updates: bool = False
     lsm_freeze_threshold: int = 256
 
@@ -312,10 +304,6 @@ class PerfConfig:
         if not isinstance(self.warm_floors, bool):
             raise ConfigError(
                 f"warm_floors must be a bool, got {self.warm_floors!r}"
-            )
-        if not isinstance(self.approx_verify, bool):
-            raise ConfigError(
-                f"approx_verify must be a bool, got {self.approx_verify!r}"
             )
         if not isinstance(self.live_updates, bool):
             raise ConfigError(

@@ -482,19 +482,12 @@ class FusedBatchEngine:
         measure,
         alpha: float,
         te_weight: float,
-        floors=None,
     ) -> None:
         self.tree = tree
         self.snap = snap
         self.measure = measure
         self.alpha = alpha
         self.te_weight = te_weight
-        #: Optional frozen :class:`~repro.approx.sketch.KnnlSketch`
-        #: (same warm-start floor contract as
-        #: :class:`~repro.core.traversal.SnapshotEngine`: ids unchanged,
-        #: decision counters differ, memoized separately via
-        #: :meth:`IndexSnapshot.warm_fused_engine_for`).
-        self.floors = floors
         self.base = snap.engine_for(tree, measure, alpha, te_weight)
         self._ej = isinstance(measure, ExtendedJaccard)
         #: (key, expanded slot) -> columnar substitution row batch;
@@ -917,28 +910,10 @@ class FusedBatchEngine:
         counter = itertools.count()
         heap: List[Tuple[float, int, int]] = []
 
-        # Warm-start floors (see SnapshotEngine.search): slots whose
-        # query upper bound cannot reach the frozen kNNL floor are
-        # dropped before any book is built; they keep contributing to
-        # their siblings' books through the full-range group template.
-        floors = self.floors
-        use_floors = floors is not None and k <= floors.kmax
-        if use_floors:
-            f_tbl = floors.floor
-            f_kmax = floors.kmax
-            f_koff = k - 1
-
-            def floor_of(slot: int) -> float:
-                return f_tbl[slot * f_kmax + f_koff]
-
         root_tmpl = self._template(gs, _ROOT_BLOCK)
         root_qb = self._block(gs, _ROOT_BLOCK)[g]
         for i, r in enumerate(roots):
             qb = root_qb[i]
-            if use_floors and qb[1] < floor_of(r):
-                stats.pruned_entries += 1
-                stats.pruned_objects += cnt[r]
-                continue
             undecided |= 1 << r
             order.append(r)
             book = self._new_book(len(roots) + 1)
@@ -1041,12 +1016,6 @@ class FusedBatchEngine:
             span = lc - fc
             for i, c in enumerate(range(fc, lc)):
                 qb = block_qb[i]
-                if use_floors and qb[1] < floor_of(c):
-                    # Floored child: no bit, no book, no heap entry —
-                    # still a contributor in its siblings' templates.
-                    stats.pruned_entries += 1
-                    stats.pruned_objects += cnt[c]
-                    continue
                 undecided |= 1 << c
                 order.append(c)
                 book = parent.clone(span)

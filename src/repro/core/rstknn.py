@@ -67,9 +67,9 @@ _NONRESULT = "nonresult"
 #: walk below; ``snapshot`` runs the columnar SnapshotEngine
 #: (:mod:`repro.core.traversal`); ``auto`` picks snapshot whenever the
 #: request has no feature that requires the seed walk; ``approx`` runs
-#: the sketch-guided candidate filter (:mod:`repro.approx`) — exact
-#: answers when ``approx_verify`` is on, a measured-recall candidate
-#: set when it is off.  Since the observability layer
+#: the exact kNNL profile engine (:mod:`repro.approx`): its floors
+#: decide membership for ``k <= SKETCH_KMAX`` (16), and above that it
+#: probes every object.  Since the observability layer
 #: (:mod:`repro.obs`) generalized tracing into the TraceSink protocol,
 #: every engine emits decision events, so a trace no longer forces
 #: ``seed`` — only an attached cross-query BoundCache does (its
@@ -78,21 +78,6 @@ ENGINE_CHOICES = ("seed", "snapshot", "auto", "approx")
 
 #: Environment override for the default engine.
 ENGINE_ENV_VAR = "REPRO_ENGINE"
-
-#: Environment override that arms kNNL warm-start floors on the exact
-#: snapshot/fused engines (``1``/``true``/``yes`` arm, anything else
-#: leaves them off).  Floors never change result ids, only how early
-#: subtrees are discarded, so this is safe to flip fleet-wide.
-WARM_FLOORS_ENV_VAR = "REPRO_WARM_FLOORS"
-
-
-def _default_warm_floors() -> bool:
-    """Warm-floor default from ``REPRO_WARM_FLOORS`` (off when unset)."""
-    raw = os.environ.get(WARM_FLOORS_ENV_VAR)
-    if raw is None:
-        return False
-    return raw.strip().lower() in ("1", "true", "yes", "on")
-
 
 def _default_engine() -> str:
     """Engine named by ``REPRO_ENGINE``, else ``auto`` (warn on typos)."""
@@ -186,8 +171,6 @@ class RSTkNNSearcher:
         bound_cache: Optional[BoundCache] = None,
         engine: Optional[str] = None,
         metrics: Optional["MetricsRegistry"] = None,
-        warm_floors: Optional[bool] = None,
-        approx_verify: bool = True,
     ) -> None:
         """``bound_cache`` shares tree-pair bounds across this searcher's
         queries (see :class:`repro.perf.cache.BoundCache`); ``None`` keeps
@@ -197,16 +180,7 @@ class RSTkNNSearcher:
         ``metrics`` attaches a :class:`repro.obs.MetricsRegistry`: each
         search then records per-engine query counters, decision
         counters, and a latency histogram (``None`` records nothing —
-        see ``docs/OBSERVABILITY.md``).
-
-        ``warm_floors`` arms the frozen kNNL floor sketch
-        (:mod:`repro.approx`) on the exact snapshot engine — results
-        stay bit-identical, only pruning gets earlier; ``None`` defers
-        to ``REPRO_WARM_FLOORS`` and then off.  ``approx_verify``
-        applies when ``engine="approx"``: ``True`` verifies every
-        candidate exactly (byte-identical ids), ``False`` returns the
-        raw conservative candidate set.  Both read the one sketch the
-        snapshot keeps per similarity setting."""
+        see ``docs/OBSERVABILITY.md``)."""
         self.tree = tree
         cfg = config if config is not None else tree.dataset.config
         self.config = cfg
@@ -222,10 +196,6 @@ class RSTkNNSearcher:
             )
         self.engine = engine
         self.metrics = metrics
-        if warm_floors is None:
-            warm_floors = _default_warm_floors()
-        self.warm_floors = bool(warm_floors)
-        self.approx_verify = bool(approx_verify)
 
     def _bound_computer(self) -> BoundComputer:
         """A per-query computer attached to the shared cache, if any."""
@@ -252,10 +222,10 @@ class RSTkNNSearcher:
             # A live overlay/tombstone set is pending (repro.lsm): only
             # the seed walk merges the frozen and overlay sources under
             # the bound logic, and the frozen-side fast paths — columnar
-            # snapshot, warm kNNL floors, the approx sketch — are all
-            # derived from the pre-write snapshot, so they are unsound
-            # against the union.  After a fold the view is clean and the
-            # requested engine applies again.
+            # snapshot and the approx sketch — are derived from the
+            # pre-write snapshot, so they are unsound against the union.
+            # After a fold the view is clean and the requested engine
+            # applies again.
             return "seed"
         can_snapshot = getattr(self.tree, "snapshot", None) is not None
         if engine == "auto":
@@ -306,27 +276,15 @@ class RSTkNNSearcher:
                 return pinned.search(query, k, trace=trace, cancel=cancel)
         resolved = self._resolve_engine(trace)
         if resolved == "snapshot":
-            snap = self.tree.snapshot()
-            if self.warm_floors:
-                runner = snap.warm_engine_for(
-                    self.tree, self.measure, self.alpha, self.te_weight,
-                    metrics=self.metrics,
-                )
-            else:
-                runner = snap.engine_for(
-                    self.tree, self.measure, self.alpha, self.te_weight
-                )
+            runner = self.tree.snapshot().engine_for(
+                self.tree, self.measure, self.alpha, self.te_weight
+            )
             result = runner.search(query, k, trace=trace, cancel=cancel)
             record_search(self.metrics, "snapshot", result.stats)
             return result
         if resolved == "approx":
-            snap = self.tree.snapshot()
-            runner = snap.approx_engine_for(
-                self.tree,
-                self.measure,
-                self.alpha,
-                self.te_weight,
-                verify=self.approx_verify,
+            runner = self.tree.snapshot().approx_engine_for(
+                self.tree, self.measure, self.alpha, self.te_weight,
                 metrics=self.metrics,
             )
             result = runner.search(query, k, trace=trace, cancel=cancel)

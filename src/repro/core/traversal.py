@@ -148,21 +148,12 @@ class SnapshotEngine:
         measure,
         alpha: float,
         te_weight: float,
-        floors=None,
     ) -> None:
         self.tree = tree
         self.snap = snap
         self.measure = measure
         self.alpha = alpha
         self.te_weight = te_weight
-        #: Optional frozen :class:`~repro.approx.sketch.KnnlSketch`: when
-        #: set, slots whose query upper bound falls below the sketch's
-        #: conservative kNNL floor are pruned *before* any contribution
-        #: list is built.  Result ids are unchanged (a floored slot
-        #: provably holds no result); decision counters differ, so
-        #: floored engines are memoized separately from the parity
-        #: engine (:meth:`IndexSnapshot.warm_engine_for`).
-        self.floors = floors
         self._ej = isinstance(measure, ExtendedJaccard)
         #: Symmetric tree-pair memo: canonical key ``min*n + max`` over
         #: slots -> blended ``(MinST, MaxST)`` (exact pairs store
@@ -424,31 +415,10 @@ class SnapshotEngine:
         counter = itertools.count()
         heap: List[Tuple[float, int, int]] = []
 
-        # Warm-start floors: a slot whose optimistic query bound cannot
-        # reach the frozen kNNL floor of its subtree holds no result
-        # (>= k competitors strictly beat the query for every object
-        # there), so it is pruned before any contribution-list work.
-        # ``q_st`` never touches the pair memo, so evaluating it ahead
-        # of the list build leaves all cached-bound accounting intact.
-        floors = self.floors
-        use_floors = floors is not None and k <= floors.kmax
-        if use_floors:
-            f_tbl = floors.floor
-            f_kmax = floors.kmax
-            f_koff = k - 1
-
-            def floor_of(slot: int) -> float:
-                return f_tbl[slot * f_kmax + f_koff]
-
         for r in roots:
             status[r] = _UNDECIDED
         for r in roots:
             qb = q_st(r)
-            if use_floors and qb[1] < floor_of(r):
-                status[r] = _PRUNED
-                stats.pruned_entries += 1
-                stats.pruned_objects += cnt[r]
-                continue
             d: Dict[int, _Contrib] = {}
             tight: Set[int] = set()
             for o in roots:
@@ -643,14 +613,6 @@ class SnapshotEngine:
                             alpha * s_lo + (1.0 - alpha) * t_lo,
                             alpha * s_hi + (1.0 - alpha) * t_hi,
                         )
-                if use_floors and qb[1] < floor_of(c):
-                    # Floored child: no list, no heap entry — but it
-                    # stays a *contributor* in its siblings' lists (each
-                    # surviving sibling's pass covers the full range).
-                    status[c] = _PRUNED
-                    stats.pruned_entries += 1
-                    stats.pruned_objects += cnt[c]
-                    continue
                 d = dict(parent_d)
                 tight = set()
                 for sib in children:

@@ -39,12 +39,12 @@ therefore
   summaries are built from the live overlay R-tree, so overlay objects
   participate in every contribution list with exact counts.
 
-Frozen-side *floors* (warm kNNL floors, the approx sketch tier, shard
-admission summaries) are derived from the pre-write snapshot and are
+Frozen-side *floors* (the approx sketch tier, shard admission
+summaries) are derived from the pre-write snapshot and are
 **not** re-derived per write; while the overlay is dirty the searcher
 resolves to the seed walk (see ``RSTkNNSearcher._resolve_engine``),
 which uses none of them.  After a freeze the view is clean again and the
-frozen fast paths (snapshot / warm / approx / fused / shm) all re-apply.
+frozen fast paths (snapshot / approx / fused / shm) all re-apply.
 
 See ``docs/UPDATES.md`` for the end-to-end lifecycle.
 """
@@ -797,8 +797,7 @@ def maybe_wrap_live(tree, perf=None, metrics=None):
     """Wrap ``tree`` in a :class:`LiveIndex` when live updates are on.
 
     ``perf.live_updates`` arms it explicitly; otherwise the
-    ``REPRO_LIVE_UPDATES`` environment default applies (mirroring the
-    warm-floor knob).  Already-live trees pass through unchanged.
+    ``REPRO_LIVE_UPDATES`` environment default applies.  Already-live trees pass through unchanged.
     """
     if getattr(tree, "is_live", False):
         return tree

@@ -414,8 +414,8 @@ def record_approx(
     """Record one approx-engine filter pass into a registry.
 
     ``last_filter`` is :attr:`repro.approx.ApproxEngine.last_filter` —
-    the per-query candidate-filter counters (candidates kept, objects
-    and nodes floor-pruned, spatial shortcuts, verified count).  Each
+    the per-query filter counters (candidates kept, objects and nodes
+    floor-pruned, spatial shortcuts, objects probed above ``kmax``).  Each
     key lands under ``approx.<key>`` as a counter; a ``None`` or null
     registry makes this a no-op (see ``docs/OBSERVABILITY.md``).
     """

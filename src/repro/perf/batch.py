@@ -79,30 +79,22 @@ def _init_worker(payload: bytes) -> None:
     """
     spec = pickle.loads(payload)
     if spec[0] == "shm":
-        (_tag, name, generation, config, te_weight,
-         engine, warm_floors, approx_verify) = spec
+        _tag, name, generation, config, te_weight, engine = spec
         from .shm import attach  # noqa: PLC0415 — worker-side only
 
         attached = attach(name, expected_generation=generation)
         _WORKER["attached"] = attached
         _WORKER["searcher"] = attached.searcher(
-            config,
-            te_weight=te_weight,
-            engine=engine,
-            warm_floors=warm_floors,
-            approx_verify=approx_verify,
+            config, te_weight=te_weight, engine=engine
         )
     else:
-        (_tag, tree, config, te_weight, cache_entries,
-         engine, warm_floors, approx_verify) = spec
+        _tag, tree, config, te_weight, cache_entries, engine = spec
         _WORKER["searcher"] = RSTkNNSearcher(
             tree,
             config,
             te_weight=te_weight,
             bound_cache=BoundCache(cache_entries),
             engine=engine,
-            warm_floors=warm_floors,
-            approx_verify=approx_verify,
         )
 
 
@@ -253,8 +245,6 @@ class BatchSearcher:
         share: str = "auto",
         metrics: Optional[MetricsRegistry] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        warm_floors: Optional[bool] = None,
-        approx_verify: bool = True,
     ) -> None:
         """``workers=1`` runs sequentially with the shared bound cache;
         ``workers>1`` fans out over that many processes, each holding its
@@ -288,16 +278,10 @@ class BatchSearcher:
         crashed or erroring pool worker lost (``None`` uses
         :data:`repro.service.retry.DEFAULT_RETRY_POLICY`); an exhausted
         budget runs the surviving chunks sequentially in the parent, so
-        a batch always completes.
-
-        ``warm_floors`` arms the frozen kNNL floor sketch
-        (:mod:`repro.approx`) on exact snapshot/fused walks — results
-        stay bit-identical; ``None`` defers to ``REPRO_WARM_FLOORS``.
-        ``approx_verify`` applies under ``engine="approx"``: ``True``
-        verifies candidates exactly, ``False`` returns the raw
-        conservative candidate set.  Sequential runs, pickled workers
-        and shm workers all read the same sketch for the similarity
-        setting (shm workers attach the segment's exported copy)."""
+        a batch always completes.  Under ``engine="approx"``,
+        sequential runs, pickled workers and shm workers all read the
+        same kNNL sketch for the similarity setting (shm workers attach
+        the segment's exported copy)."""
         if workers < 1:
             raise QueryError(f"workers must be >= 1, got {workers}")
         if mode not in BATCH_MODES:
@@ -324,8 +308,8 @@ class BatchSearcher:
                 raise QueryError(
                     "fused batch mode runs the exact fused engine; it is "
                     "incompatible with engine='approx' (use "
-                    "mode='per-query', or warm_floors=True to accelerate "
-                    "fused walks exactly)"
+                    "mode='per-query' with engine='approx' for the exact "
+                    "profile engine)"
                 )
             if group_size < 1:
                 raise QueryError(
@@ -344,7 +328,6 @@ class BatchSearcher:
         self.retry_policy = (
             retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
         )
-        self.approx_verify = bool(approx_verify)
         self.bound_cache = BoundCache(cache_entries)
         self._pickle_error: Optional[str] = None
         self._last_retries = 0
@@ -360,11 +343,7 @@ class BatchSearcher:
             te_weight=te_weight,
             bound_cache=self.bound_cache,
             engine=engine,
-            warm_floors=warm_floors,
-            approx_verify=approx_verify,
         )
-        # Resolved (env applied) on the inner searcher; workers reuse it.
-        self.warm_floors = self._searcher.warm_floors
         if warm:
             tree.warm_kernels()
 
@@ -413,10 +392,6 @@ class BatchSearcher:
                 max_attempts=perf.retry_attempts,
                 base_delay=perf.retry_base_delay,
             ),
-            # False (the default) defers to REPRO_WARM_FLOORS, so the
-            # env knob can arm floors fleet-wide without config edits.
-            warm_floors=perf.warm_floors or None,
-            approx_verify=perf.approx_verify,
         )
 
     def invalidate(self) -> None:
@@ -611,22 +586,10 @@ class BatchSearcher:
 
         searcher = self._searcher
         with timer.phase("freeze"):
-            snap = self.tree.snapshot()
-            if self.warm_floors:
-                engine = snap.warm_fused_engine_for(
-                    self.tree,
-                    searcher.measure,
-                    searcher.alpha,
-                    searcher.te_weight,
-                    metrics=self.metrics,
-                )
-            else:
-                engine = snap.fused_engine_for(
-                    self.tree,
-                    searcher.measure,
-                    searcher.alpha,
-                    searcher.te_weight,
-                )
+            engine = self.tree.snapshot().fused_engine_for(
+                self.tree, searcher.measure, searcher.alpha,
+                searcher.te_weight,
+            )
         results: List[Optional[SearchResult]] = [None] * len(queries)
         with timer.phase("group"):
             groups = make_groups(queries, self.group_size)
@@ -683,7 +646,7 @@ class BatchSearcher:
 
                 try:
                     with timer.phase("share"):
-                        if self.warm_floors or self.engine == "approx":
+                        if self.engine == "approx":
                             # Bake the floor sketch into the segment so
                             # workers attach it zero-copy instead of
                             # rebuilding it once per process.
@@ -724,8 +687,6 @@ class BatchSearcher:
                                 "approx"
                                 if self.engine == "approx"
                                 else "snapshot",
-                                self.warm_floors,
-                                self.approx_verify,
                             )
                         )
                     self._share_used = "shm"
@@ -750,8 +711,6 @@ class BatchSearcher:
                         self.te_weight,
                         self.cache_entries,
                         self.engine,
-                        self.warm_floors,
-                        self.approx_verify,
                     )
                 )
         except (pickle.PicklingError, TypeError, AttributeError) as exc:

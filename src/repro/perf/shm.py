@@ -298,9 +298,9 @@ class SharedSnapshotSegment:
         arrays = _export_arrays(tree, snap, matrix)
 
         # Frozen kNNL sketches ride along so attached workers can serve
-        # warm-floor and approx engines without re-running the
-        # freeze-time build: one floor array per memoized sketch plus a
-        # header row carrying its key and scalar metadata.
+        # the approx engine without re-running the freeze-time build:
+        # one floor array per memoized sketch plus a header row
+        # carrying its key and scalar metadata.
         sketch_rows: List[Tuple] = []
         for key, sketch in snap._sketches.items():
             i = len(sketch_rows)
@@ -756,12 +756,12 @@ class ShmSearcher:
     :class:`~repro.core.rstknn.RSTkNNSearcher`: it runs the snapshot
     engine of the header's similarity setting (result ids and decision
     counters are engine-parity-identical to the seed walk, which the
-    engine test suite enforces).
+    engine test suite enforces), or with ``engine="approx"`` the
+    profile engine (same ids).
     """
 
     def __init__(self, attached: "AttachedIndex", config: Optional[SimilarityConfig],
-                 te_weight: float, engine: str = "snapshot",
-                 warm_floors: bool = False, approx_verify: bool = True) -> None:
+                 te_weight: float, engine: str = "snapshot") -> None:
         header = attached.header
         cfg = config if config is not None else header["sim_config"]
         self.config = cfg
@@ -770,21 +770,13 @@ class ShmSearcher:
         self.te_weight = te_weight if header["use_entropy_priority"] else 0.0
         self.tree = attached.tree
         snapshot = attached.snapshot
+        setting = (attached.tree, self.measure, self.alpha, self.te_weight)
         if engine == "approx":
             # Served from the segment's frozen sketch when the parent
             # exported one; rebuilt worker-side otherwise (memoized).
-            self.engine = snapshot.approx_engine_for(
-                attached.tree, self.measure, self.alpha, self.te_weight,
-                verify=approx_verify,
-            )
-        elif warm_floors:
-            self.engine = snapshot.warm_engine_for(
-                attached.tree, self.measure, self.alpha, self.te_weight
-            )
+            self.engine = snapshot.approx_engine_for(*setting)
         else:
-            self.engine = snapshot.engine_for(
-                attached.tree, self.measure, self.alpha, self.te_weight
-            )
+            self.engine = snapshot.engine_for(*setting)
 
     def search(self, query, k: int):
         """Run one RSTkNN query on the attached snapshot engine."""
@@ -808,16 +800,10 @@ class AttachedIndex:
         config: Optional[SimilarityConfig] = None,
         te_weight: Optional[float] = None,
         engine: str = "snapshot",
-        warm_floors: bool = False,
-        approx_verify: bool = True,
     ) -> ShmSearcher:
         """A searcher over this attachment (header defaults apply)."""
         te = self.header["te_weight"] if te_weight is None else te_weight
-        return ShmSearcher(
-            self, config, te,
-            engine=engine, warm_floors=warm_floors,
-            approx_verify=approx_verify,
-        )
+        return ShmSearcher(self, config, te, engine=engine)
 
     def refcount(self) -> int:
         """Advisory reference count stored in the segment."""

@@ -319,66 +319,15 @@ class IndexSnapshot:
             record_sketch_build(metrics, sketch.build_seconds)
         return sketch
 
-    def warm_engine_for(
-        self, tree, measure, alpha: float, te_weight: float, metrics=None
-    ):
-        """A traversal engine seeded with frozen kNNL warm-start floors.
-
-        Separate from :meth:`engine_for` (floor pruning changes decision
-        *counters*, though never result ids, so the parity engine stays
-        pristine) but sharing its pair-bound memo — work done by either
-        engine warms the other.  ``metrics`` receives the sketch build
-        (see :meth:`sketch_for`).
-        """
-        key = ("floors", measure.name, alpha, te_weight)
-        engine = self._engines.get(key)
-        if engine is None:
-            from ..core.traversal import SnapshotEngine
-
-            base = self.engine_for(tree, measure, alpha, te_weight)
-            engine = SnapshotEngine(
-                tree, self, measure, alpha, te_weight,
-                floors=self.sketch_for(base, metrics=metrics),
-            )
-            engine._memo = base._memo
-            self._engines[key] = engine
-        return engine
-
-    def warm_fused_engine_for(
-        self, tree, measure, alpha: float, te_weight: float, metrics=None
-    ):
-        """The fused group engine with warm-start floors (see
-        :meth:`warm_engine_for` for the memo-sharing contract)."""
-        key = ("fused-floors", measure.name, alpha, te_weight)
-        engine = self._engines.get(key)
-        if engine is None:
-            from ..core.fused import FusedBatchEngine
-
-            base = self.engine_for(tree, measure, alpha, te_weight)
-            engine = FusedBatchEngine(
-                tree, self, measure, alpha, te_weight,
-                floors=self.sketch_for(base, metrics=metrics),
-            )
-            self._engines[key] = engine
-        return engine
-
     def approx_engine_for(
-        self,
-        tree,
-        measure,
-        alpha: float,
-        te_weight: float,
-        verify: bool = True,
-        metrics=None,
+        self, tree, measure, alpha: float, te_weight: float, metrics=None
     ):
-        """The memoized sketch-filter engine
+        """The memoized profile engine
         (:class:`~repro.approx.engine.ApproxEngine`) for one setting.
 
-        ``verify`` picks verified (exact ids) or raw (conservative
-        candidate set) mode; both modes read the same sketch.
         ``metrics`` receives the sketch build (see :meth:`sketch_for`).
         """
-        key = ("approx", measure.name, alpha, te_weight, verify)
+        key = ("approx", measure.name, alpha, te_weight)
         engine = self._engines.get(key)
         if engine is None:
             from ..approx.engine import ApproxEngine
@@ -386,7 +335,7 @@ class IndexSnapshot:
             base = self.engine_for(tree, measure, alpha, te_weight)
             engine = ApproxEngine(
                 tree, self, measure, alpha, te_weight,
-                self.sketch_for(base, metrics=metrics), verify=verify,
+                self.sketch_for(base, metrics=metrics),
             )
             self._engines[key] = engine
         return engine

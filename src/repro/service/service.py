@@ -54,11 +54,9 @@ from .queue import AdmissionQueue
 #: chain as the always-available engine of last resort.
 DEGRADATION_CHAIN: Tuple[str, ...] = ("fused", "snapshot", "seed")
 
-#: Every engine a custom ``chain=`` may name.  ``approx`` is opt-in
-#: (never in the default chain): with ``approx_verify=True`` it returns
-#: exact ids like the others; with ``approx_verify=False`` it serves
-#: the raw conservative candidate set, which is a *superset* of the
-#: exact answer — only build such a chain when callers tolerate that.
+#: Every engine a custom ``chain=`` may name.  ``approx`` (the exact
+#: kNNL profile engine) is opt-in: it returns the same ids as the
+#: others but builds a sketch on its first query.
 CHAIN_ENGINE_CHOICES: Tuple[str, ...] = ("approx",) + DEGRADATION_CHAIN
 
 #: Metric names this module emits (see ``docs/OBSERVABILITY.md``).
@@ -148,13 +146,6 @@ class QueryService:
             no-op instruments).
         clock: Monotonic time source for deadlines — injectable for
             deterministic tests.
-        warm_floors: Arm the frozen kNNL floor sketch
-            (:mod:`repro.approx`) on the exact snapshot/fused hops —
-            ids stay bit-identical, pruning happens earlier.
-        approx_verify: Applies to an ``approx`` hop in a custom chain:
-            ``True`` verifies candidates exactly (ids identical to the
-            other engines), ``False`` serves the raw conservative
-            candidate superset.
     """
 
     def __init__(
@@ -168,8 +159,6 @@ class QueryService:
         max_pending: int = 1024,
         metrics: Optional[MetricsRegistry] = None,
         clock: Callable[[], float] = time.monotonic,
-        warm_floors: bool = False,
-        approx_verify: bool = True,
     ) -> None:
         chain = tuple(chain)
         if not chain:
@@ -187,8 +176,6 @@ class QueryService:
         self.tree = tree
         self.chain = chain
         self.deadline_seconds = deadline_seconds
-        self.warm_floors = bool(warm_floors)
-        self.approx_verify = bool(approx_verify)
         self.metrics = registry_or_null(metrics)
         self._clock = clock
         # The seed searcher doubles as the resolved similarity setting
@@ -214,9 +201,8 @@ class QueryService:
     ) -> "QueryService":
         """Build a service from a :class:`repro.config.PerfConfig`.
 
-        Honors ``perf.service_max_pending``,
-        ``perf.service_deadline_seconds``, ``perf.warm_floors``, and
-        ``perf.approx_verify``.  When ``perf.live_updates`` is true (or
+        Honors ``perf.service_max_pending`` and
+        ``perf.service_deadline_seconds``.  When ``perf.live_updates`` is true (or
         ``REPRO_LIVE_UPDATES`` arms it), the tree is wrapped in a
         :class:`repro.lsm.LiveIndex` first: while its overlay is dirty,
         the fused/snapshot hops raise
@@ -234,8 +220,6 @@ class QueryService:
             deadline_seconds=perf.service_deadline_seconds,
             max_pending=perf.service_max_pending,
             metrics=metrics,
-            warm_floors=perf.warm_floors,
-            approx_verify=perf.approx_verify,
         )
 
     # ------------------------------------------------------------------
@@ -257,34 +241,15 @@ class QueryService:
             return seed.search(query, k, cancel=token)
         check_freeze(plan)
         snap = self.tree.snapshot()
+        setting = (self.tree, seed.measure, seed.alpha, seed.te_weight)
         if engine == "fused":
-            if self.warm_floors:
-                runner = snap.warm_fused_engine_for(
-                    self.tree, seed.measure, seed.alpha, seed.te_weight
-                )
-            else:
-                runner = snap.fused_engine_for(
-                    self.tree, seed.measure, seed.alpha, seed.te_weight
-                )
+            runner = snap.fused_engine_for(*setting)
             # Singleton group: per-query deadlines stay per-query.
             return runner.run_group([query], k, cancel=token)[0]
         if engine == "approx":
-            runner = snap.approx_engine_for(
-                self.tree,
-                seed.measure,
-                seed.alpha,
-                seed.te_weight,
-                verify=self.approx_verify,
-            )
-            return runner.search(query, k, cancel=token)
-        if self.warm_floors:
-            runner = snap.warm_engine_for(
-                self.tree, seed.measure, seed.alpha, seed.te_weight
-            )
+            runner = snap.approx_engine_for(*setting)
         else:
-            runner = snap.engine_for(
-                self.tree, seed.measure, seed.alpha, seed.te_weight
-            )
+            runner = snap.engine_for(*setting)
         return runner.search(query, k, cancel=token)
 
     # ------------------------------------------------------------------

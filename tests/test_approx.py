@@ -1,25 +1,22 @@
-"""The approx tier: kNNL sketch soundness, warm-floor parity, recall.
+"""The approx tier: exact kNNL profiles and the one profile engine.
 
-The sketch (:mod:`repro.approx.sketch`) is only allowed to influence
-the exact engines because every floor it stores is a *provably
-conservative* lower bound on each object's true k-th competitor
-similarity ``s_k``.  These tests pin that contract from below and
-above:
+The sketch (:mod:`repro.approx.sketch`) stores each object's exact k-th
+competitor similarity ``s_k``, and ``engine="approx"`` answers from it:
+for ``k <= kmax`` the floor walk's survivors are the answer, above
+``kmax`` every object is probed.  These tests pin that contract:
 
-* **floor conservativeness** (hypothesis) — every object's
-  ``obj_floor``/``node_floor``/``global_floor`` is bounded by a brute
-  force ``s_k`` computed from pairwise exact similarities, across
-  alphas and ``k``; ``k > kmax`` always reads 0.0 (never prunes);
-* **warm-floor parity** (hypothesis) — the snapshot engine with
-  ``warm_floors=True`` returns ids bit-identical to the plain engine
-  for every query/alpha/``k``, including ``k`` beyond the sketch;
-* **verified-mode byte-identity** (hypothesis) — ``engine="approx",
-  verify=True`` matches the exact engine exactly; ``verify=False``
-  returns a sorted superset (recall 1.0 by construction);
-* **plumbing** — filter counters, env knobs (``REPRO_ENGINE=approx``,
-  ``REPRO_WARM_FLOORS``), fused+approx rejection, one sketch per
-  similarity setting across sequential, worker and warm-floor paths,
-  and the shm segment round-trip of the sketch arrays.
+* **floor soundness and exactness** (hypothesis) — every
+  ``obj_floor``/``node_floor``/``global_floor`` equals (objects) or is
+  bounded by (directories, global) a brute-force ``s_k`` computed from
+  pairwise exact similarities, across measures, alphas and ``k``;
+  ``k > kmax`` always reads 0.0 (never prunes);
+* **one engine, exact ids** (hypothesis) — approx ids equal the
+  snapshot engine's for every ``k`` up to ``kmax + 4`` on adversarial
+  corpora, with no membership probe for ``k <= kmax``;
+* **plumbing** — filter counters, ``REPRO_ENGINE=approx``,
+  fused+approx rejection, one sketch per similarity setting across
+  sequential, worker and service paths, and the shm segment round-trip
+  of the sketch arrays.
 """
 
 from __future__ import annotations
@@ -140,100 +137,36 @@ class TestFloorConservativeness:
 
 
 # ----------------------------------------------------------------------
-# Warm-floor bit-parity on the exact engines (hypothesis)
-# ----------------------------------------------------------------------
-
-
-class TestWarmFloorParity:
-    @settings(deadline=None, max_examples=30)
-    @given(
-        alpha=st.sampled_from(_ALPHAS),
-        k=st.integers(min_value=1, max_value=SKETCH_KMAX + 4),
-        qi=st.integers(min_value=0, max_value=5),
-    )
-    def test_warm_floors_ids_bit_identical(self, alpha, k, qi):
-        env = _env()
-        query = env["queries"][qi]
-        plain = _searcher(alpha, engine="snapshot")
-        warm = _searcher(alpha, engine="snapshot", warm_floors=True)
-        assert warm.search(query, k).ids == plain.search(query, k).ids
-
-    def test_warm_fused_batch_parity(self):
-        env = _env()
-        plain = BatchSearcher(env["tree"], engine="snapshot", mode="fused")
-        warm = BatchSearcher(
-            env["tree"], engine="snapshot", mode="fused", warm_floors=True
-        )
-        ref = [r.ids for r in plain.run(env["queries"], 4).results]
-        got = [r.ids for r in warm.run(env["queries"], 4).results]
-        assert got == ref
-
-    def test_env_knob_arms_warm_floors(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WARM_FLOORS", "1")
-        assert _searcher(0.4, engine="snapshot").warm_floors
-        monkeypatch.setenv("REPRO_WARM_FLOORS", "off")
-        assert not _searcher(0.4, engine="snapshot").warm_floors
-        # An explicit argument beats the environment.
-        assert not _searcher(
-            0.4, engine="snapshot", warm_floors=False
-        ).warm_floors
-
-
-# ----------------------------------------------------------------------
-# The approx engine: byte-identity, recall, counters
+# The approx engine: counters and plumbing
 # ----------------------------------------------------------------------
 
 
 class TestApproxEngine:
-    @settings(deadline=None, max_examples=30)
-    @given(
-        alpha=st.sampled_from(_ALPHAS),
-        k=st.integers(min_value=1, max_value=SKETCH_KMAX + 4),
-        qi=st.integers(min_value=0, max_value=5),
-    )
-    def test_verified_mode_byte_identical(self, alpha, k, qi):
-        env = _env()
-        query = env["queries"][qi]
-        exact = _searcher(alpha, engine="snapshot")
-        approx = _searcher(alpha, engine="approx", approx_verify=True)
-        assert approx.search(query, k).ids == exact.search(query, k).ids
-
-    @settings(deadline=None, max_examples=30)
-    @given(
-        alpha=st.sampled_from(_ALPHAS),
-        k=st.integers(min_value=1, max_value=SKETCH_KMAX + 4),
-        qi=st.integers(min_value=0, max_value=5),
-    )
-    def test_raw_mode_is_sorted_superset(self, alpha, k, qi):
-        env = _env()
-        query = env["queries"][qi]
-        exact_ids = _searcher(alpha, engine="snapshot").search(query, k).ids
-        raw_ids = _searcher(
-            alpha, engine="approx", approx_verify=False
-        ).search(query, k).ids
-        assert raw_ids == sorted(raw_ids)
-        assert set(exact_ids) <= set(raw_ids)  # recall 1.0 by construction
-
     def test_filter_counters_and_last_filter(self):
         env = _env()
-        searcher = _searcher(0.4, engine="approx", approx_verify=False)
-        searcher.search(env["queries"][0], 4)
+        searcher = _searcher(0.4, engine="approx")
         snap = env["tree"].snapshot()
         engine = snap.approx_engine_for(
-            env["tree"], searcher.measure, searcher.alpha,
-            searcher.te_weight, verify=False,
+            env["tree"], searcher.measure, searcher.alpha, searcher.te_weight
         )
+        verified0 = engine.counters["verified"]
+        searcher.search(env["queries"][0], 4)
         assert engine.counters["searches"] >= 1
-        assert engine.counters["verified"] == 0
+        assert engine.counters["verified"] == verified0
         assert set(engine.last_filter) == {
             "nodes_pruned", "objects_pruned", "spatial_shortcuts",
             "candidates", "verified", "answers",
         }
-        assert engine.last_filter["candidates"] >= 0
-        # Raw mode returns every surviving candidate.
+        # k <= kmax: every floor survivor is an answer, none is probed.
+        assert engine.last_filter["verified"] == 0
         assert (
             engine.last_filter["answers"] == engine.last_filter["candidates"]
         )
+        # k > kmax: nothing is pruned and every object is probed.
+        searcher.search(env["queries"][0], SKETCH_KMAX + 1)
+        n_objects = len(env["dataset"])
+        assert engine.last_filter["candidates"] == n_objects
+        assert engine.last_filter["verified"] == n_objects
 
     def test_spatial_shortcuts_counted_at_pure_spatial_alpha(self):
         # At alpha == 1.0 the stage-1 bound IS the full bound (text is
@@ -243,7 +176,7 @@ class TestApproxEngine:
         tree = env["tree"]
         measure = make_measure(env["dataset"].config.text_measure)
         snap = tree.snapshot()
-        engine = snap.approx_engine_for(tree, measure, 1.0, 0.0, verify=False)
+        engine = snap.approx_engine_for(tree, measure, 1.0, 0.0)
         pruned = shortcuts = 0
         for query in env["queries"]:
             engine.search(query, 2)
@@ -256,18 +189,18 @@ class TestApproxEngine:
         assert pruned > 0 and shortcuts == pruned
 
     def test_every_path_reads_one_sketch(self):
-        # Verified, raw and warm-floor engines of one similarity setting
-        # share a single memoized sketch — no path builds its own.
+        # The searcher, the batch engine and a service approx hop of one
+        # similarity setting share a single memoized sketch — no path
+        # builds its own.
+        from repro.service import QueryService
+
         dataset = gn_like(n=60)
         tree = IURTree.build(dataset)
         query = sample_queries(dataset, 1, seed=5)[0]
         config = SimilarityConfig(alpha=0.4)
-        for kwargs in (
-            dict(engine="approx", approx_verify=True),
-            dict(engine="approx", approx_verify=False),
-            dict(engine="snapshot", warm_floors=True),
-        ):
-            RSTkNNSearcher(tree, config=config, **kwargs).search(query, 3)
+        RSTkNNSearcher(tree, config=config, engine="approx").search(query, 3)
+        BatchSearcher(tree, config, engine="approx").run([query], 3)
+        QueryService(tree, config, chain=("approx",)).serve(query, 3)
         assert len(tree.snapshot()._sketches) == 1
 
     def test_env_knob_selects_approx_engine(self, monkeypatch):
@@ -286,11 +219,8 @@ class TestApproxEngine:
 
     def test_approx_batch_matches_exact(self):
         # Sequential and parallel (shm and pickle transports) runs must
-        # read the same sketch: verified ids equal the exact engine's,
-        # and raw ids — which expose the floors directly — agree across
-        # every transport.  n = 600 exceeds the sketch's frontier budget,
-        # so node rows cover several objects and raw ids depend on the
-        # profiles too (below the budget every row is a single object).
+        # read the same sketch: at k <= kmax the floors alone decide the
+        # ids, so every transport must return the exact engine's ids.
         dataset = gn_like(n=600)
         tree = IURTree.build(dataset)
         queries = sample_queries(dataset, 8, seed=23)
@@ -299,26 +229,18 @@ class TestApproxEngine:
         )
         exact = BatchSearcher(tree, config, engine="snapshot")
         ref = [r.ids for r in exact.run(queries, 4).results]
-        for verify in (True, False):
-            seq = BatchSearcher(
-                tree, config, engine="approx", approx_verify=verify
+        seq = BatchSearcher(tree, config, engine="approx")
+        assert [r.ids for r in seq.run(queries, 4).results] == ref
+        for share in ("shm", "pickle"):
+            par = BatchSearcher(
+                tree, config, engine="approx", workers=2, share=share
             )
-            got = [r.ids for r in seq.run(queries, 4).results]
-            if verify:
-                assert got == ref
-            else:
-                assert all(set(e) <= set(g) for e, g in zip(ref, got))
-            for share in ("shm", "pickle"):
-                par = BatchSearcher(
-                    tree, config, engine="approx", approx_verify=verify,
-                    workers=2, share=share,
-                )
-                with warnings.catch_warnings():
-                    # Without numpy "shm" degrades to pickle, loudly.
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    batch = par.run(queries, 4)
-                assert batch.stats.share is not None  # ran in workers
-                assert [r.ids for r in batch.results] == got, share
+            with warnings.catch_warnings():
+                # Without numpy "shm" degrades to pickle, loudly.
+                warnings.simplefilter("ignore", RuntimeWarning)
+                batch = par.run(queries, 4)
+            assert batch.stats.share is not None  # ran in workers
+            assert [r.ids for r in batch.results] == ref, share
 
 
 # ----------------------------------------------------------------------
@@ -356,11 +278,9 @@ class TestShmSketchRoundTrip:
             assert isinstance(twin, KnnlSketch)
             assert list(twin.floor) == list(parent.floor)
             assert twin.global_row == parent.global_row
-            # And the attached searcher answers identically in approx
-            # mode against the parent's exact engine.
-            remote = attached.searcher(
-                engine="approx", approx_verify=True
-            )
+            # And the attached approx searcher answers identically to
+            # the parent's exact engine.
+            remote = attached.searcher(engine="approx")
             local = _searcher(0.5, engine="snapshot")
             q = env["queries"][2]
             assert remote.search(q, 3).ids == local.search(q, 3).ids
@@ -627,7 +547,7 @@ class TestExactProfiles:
             )
             _check_exact_sketch(snap, engine, build_sketch(engine))
 
-    @settings(deadline=None, max_examples=25)
+    @settings(deadline=None, max_examples=30)
     @given(
         records=_records,
         measure=st.sampled_from(_MEASURES),
@@ -635,17 +555,27 @@ class TestExactProfiles:
         qx=st.sampled_from((0.0, 1.0, 2.5)),
         qtext=st.lists(st.sampled_from(_WORDS), max_size=3).map(" ".join),
     )
-    def test_raw_ids_equal_exact_ids_up_to_kmax(
+    def test_approx_ids_equal_snapshot_ids(
         self, records, measure, alpha, qx, qtext
     ):
+        # One engine for every k: up to kmax the exact floors alone
+        # decide membership (no probe runs); above it every object is
+        # probed.  Corpora of 1..40 objects put k >= n in range too.
         from repro.spatial import Point
 
         dataset, tree = _tiny(records, measure)
         config = SimilarityConfig(alpha=alpha, text_measure=measure)
         exact = RSTkNNSearcher(tree, config=config, engine="snapshot")
-        raw = RSTkNNSearcher(
-            tree, config=config, engine="approx", approx_verify=False
+        approx = RSTkNNSearcher(tree, config=config, engine="approx")
+        engine = tree.snapshot().approx_engine_for(
+            tree, approx.measure, approx.alpha, approx.te_weight
         )
         query = dataset.make_query(Point(qx, 2.0), qtext)
-        for k in range(1, SKETCH_KMAX + 1):
-            assert raw.search(query, k).ids == exact.search(query, k).ids
+        for k in range(1, SKETCH_KMAX + 5):
+            got = approx.search(query, k)
+            assert got.ids == exact.search(query, k).ids, k
+            if k <= SKETCH_KMAX:
+                assert got.stats.verified_objects == 0
+                assert engine.last_filter["verified"] == 0
+            else:
+                assert engine.last_filter["verified"] == len(records)

@@ -164,20 +164,24 @@ class TestLiveParity:
 class TestWarmFloorHazard:
     def test_stale_warm_floors_never_touch_dirty_answers(self):
         """Deletes make frozen kNNL floors overstate the neighborhood:
-        a floored snapshot walk would over-prune.  The resolver must
-        route warm searchers through the merged seed walk while dirty,
-        and the post-fold floors are rebuilt from the new snapshot."""
+        answers decided by a stale sketch would miss objects whose
+        ``s_k`` fell.  The resolver must route approx searchers through
+        the merged seed walk while dirty, and the post-fold sketch —
+        which alone decides ``k <= kmax`` answers — is rebuilt from the
+        new snapshot."""
         ds, live = make_live(n=150, seed=23)
         try:
-            warm = RSTkNNSearcher(live, warm_floors=True)
+            approx = RSTkNNSearcher(live, engine="approx")
+            # Build the pre-delete sketch, the one that goes stale.
+            approx.search(sample_queries(ds, 1, seed=11)[0], 4)
             churn(live, ds, inserts=0, deletes=20, seed=7)
             for query in sample_queries(ds, 4, seed=11):
-                assert warm.search(query, 4).ids == BruteForceRSTkNN(
+                assert approx.search(query, 4).ids == BruteForceRSTkNN(
                     ds
                 ).search(query, 4)
             live.freeze_step()
             for query in sample_queries(ds, 4, seed=11):
-                assert warm.search(query, 4).ids == BruteForceRSTkNN(
+                assert approx.search(query, 4).ids == BruteForceRSTkNN(
                     ds
                 ).search(query, 4)
         finally:

@@ -439,13 +439,17 @@ class TestRecordApprox:
     def test_approx_searcher_records_metrics(self):
         env = _env()
         reg = MetricsRegistry()
-        searcher = RSTkNNSearcher(
-            env["tree"], engine="approx", approx_verify=False, metrics=reg
-        )
+        searcher = RSTkNNSearcher(env["tree"], engine="approx", metrics=reg)
         searcher.search(env["queries"][0], 3)
         snap = reg.snapshot()
         assert snap["counters"]["search.queries.approx"] == 1
         assert "approx.candidates" in snap["counters"]
+        # k <= kmax: the floors decide membership, nothing is probed.
+        assert snap["counters"]["approx.verified"] == 0
+        assert (
+            snap["counters"]["approx.answers"]
+            == snap["counters"]["approx.candidates"]
+        )
 
 
 class TestRecordSketchBuild:
@@ -455,28 +459,16 @@ class TestRecordSketchBuild:
 
     def test_first_approx_search_publishes_one_build(self):
         # A fresh tree: the first approx query builds the sketch, later
-        # queries (and the raw-mode engine) reuse it.
+        # queries (and a second searcher) reuse it.
         dataset = STDataset.from_corpus(random_corpus(60, seed=23))
         tree = IURTree.build(dataset)
         reg = MetricsRegistry()
         queries = sample_queries(dataset, 2, seed=5)
-        for verify in (True, False):
-            searcher = RSTkNNSearcher(
-                tree, engine="approx", approx_verify=verify, metrics=reg
-            )
+        for _ in range(2):
+            searcher = RSTkNNSearcher(tree, engine="approx", metrics=reg)
             for q in queries:
                 searcher.search(q, 3)
         snap = reg.snapshot()
         assert snap["counters"]["sketch.builds"] == 1
         sketch = next(iter(tree.snapshot()._sketches.values()))
         assert snap["gauges"]["sketch.build_seconds"] == sketch.build_seconds
-
-    def test_warm_floor_searcher_publishes_the_build(self):
-        dataset = STDataset.from_corpus(random_corpus(60, seed=29))
-        tree = IURTree.build(dataset)
-        reg = MetricsRegistry()
-        searcher = RSTkNNSearcher(
-            tree, engine="snapshot", warm_floors=True, metrics=reg
-        )
-        searcher.search(sample_queries(dataset, 1, seed=7)[0], 3)
-        assert reg.snapshot()["counters"]["sketch.builds"] == 1

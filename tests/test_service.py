@@ -25,6 +25,7 @@ from repro.errors import (
 )
 from repro.obs import MetricsRegistry
 from repro.perf.batch import BatchSearcher
+from repro.perf.shm import shm_available
 from repro.service import (
     DEGRADATION_CHAIN,
     AdmissionQueue,
@@ -474,21 +475,39 @@ def batch_env():
 _FAST_RETRY = RetryPolicy(base_delay=0.0, multiplier=1.0, max_delay=0.0, jitter=0.0)
 
 
+def _crash_retry_run(batch_env, monkeypatch, share: str) -> None:
+    """A crashed worker's slice is retried byte-identical over one
+    transport, with no silent transport degradation."""
+    monkeypatch.setenv("REPRO_FAULTS", "worker_crash=4")
+    metrics = MetricsRegistry()
+    searcher = BatchSearcher(
+        batch_env["tree"], workers=2, metrics=metrics,
+        retry_policy=_FAST_RETRY, share=share,
+    )
+    batch = searcher.run(batch_env["queries"], 3)
+    assert batch.id_lists() == batch_env["clean"].id_lists()
+    assert batch.stats.retries >= 1
+    assert batch.stats.share == share
+    assert batch.stats.fallback_reason is None
+    assert metrics.snapshot()["counters"]["service.retries"] >= 1
+
+
 class TestBatchRetries:
+    # One test per transport (rather than a parametrized pair) keeps the
+    # shm case's test id stable; it needs numpy, the pickle case never.
+    @pytest.mark.skipif(
+        not shm_available()[0],
+        reason=f"shm transport unavailable: {shm_available()[1]}",
+    )
     def test_worker_crash_slice_is_retried_byte_identical(
         self, batch_env, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_FAULTS", "worker_crash=4")
-        metrics = MetricsRegistry()
-        searcher = BatchSearcher(
-            batch_env["tree"], workers=2, metrics=metrics,
-            retry_policy=_FAST_RETRY,
-        )
-        batch = searcher.run(batch_env["queries"], 3)
-        assert batch.id_lists() == batch_env["clean"].id_lists()
-        assert batch.stats.retries >= 1
-        assert batch.stats.fallback_reason is None
-        assert metrics.snapshot()["counters"]["service.retries"] >= 1
+        _crash_retry_run(batch_env, monkeypatch, "shm")
+
+    def test_worker_crash_slice_is_retried_byte_identical_pickle(
+        self, batch_env, monkeypatch
+    ):
+        _crash_retry_run(batch_env, monkeypatch, "pickle")
 
     def test_worker_error_slice_is_retried_in_surviving_pool(
         self, batch_env, monkeypatch
